@@ -718,6 +718,11 @@ let registry_oracles =
               })
     Solver.all
 
+(* The trace oracles' generator seed, a hash of the case's dump. *)
+let trace_seed c =
+  let text = match c with Rat i -> Qo.Io.dump_rat i | Log i -> Qo.Io.dump_log i in
+  1 + (Hashtbl.hash text land 0x3fff)
+
 (* End-to-end determinism of the trace subsystem: same params must
    yield byte-identical generated traces, and replaying the same trace
    twice must yield byte-identical non-control responses plus equal
@@ -731,10 +736,7 @@ let trace_replay_det =
   let check c =
     if case_n c mod 4 <> 0 then Skip "sampled 1-in-4 by n"
     else begin
-      let text =
-        match c with Rat i -> Qo.Io.dump_rat i | Log i -> Qo.Io.dump_log i
-      in
-      let seed = 1 + (Hashtbl.hash text land 0x3fff) in
+      let seed = trace_seed c in
       let p =
         {
           Trace.requests = 80;
@@ -764,7 +766,46 @@ let trace_replay_det =
   in
   { name = "trace-replay-det"; check }
 
-let oracles = handwritten_oracles @ registry_oracles @ [ trace_replay_det ]
+(* Serve's front map on vs off, with no off switch: a small hostile
+   trace replayed as is, and again with a unique trailing comment on
+   every payload (Trace.with_nonces) so the front map never hits, must
+   give the same non-control bytes and equal masked reports. The cache
+   is small, so front entries also outlive evicted canonical ones and
+   the lazy re-parse path runs. Sampled 1-in-4 by instance size, on
+   the sizes trace-replay-det skips. *)
+let front_map_blind =
+  let check c =
+    if case_n c mod 4 <> 2 then Skip "sampled 1-in-4 by n"
+    else begin
+      let t =
+        Trace.generate
+          {
+            Trace.requests = 80;
+            seed = trace_seed c;
+            skew = 1.2;
+            pool_size = 16;
+            templates = 2;
+            drift_every = 20;
+            burst = 3;
+            hostile_pct = 25;
+          }
+      in
+      let blind = Trace.with_nonces t in
+      let config = { Serve.default_config with Serve.cache_capacity = 8 } in
+      let out1, st1, s1 = Trace.replay ~config ~probe_every:25 t in
+      let out2, st2, s2 = Trace.replay ~config ~probe_every:25 blind in
+      let b1, _ = Serve.split_control out1 and b2, _ = Serve.split_control out2 in
+      if b1 <> b2 then Fail "front-map hits changed response bytes"
+      else
+        let r1 = Trace.report_json_masked ~jobs:1 ~trace:t ~out:out1 ~seconds:s1 st1 in
+        let r2 = Trace.report_json_masked ~jobs:1 ~trace:blind ~out:out2 ~seconds:s2 st2 in
+        if r1 <> r2 then Fail "front-map hits changed the masked replay report" else Pass
+    end
+  in
+  { name = "front-map-blind"; check }
+
+let oracles =
+  handwritten_oracles @ registry_oracles @ [ trace_replay_det; front_map_blind ]
 
 let oracle ~name check = { name; check }
 

@@ -62,11 +62,14 @@ val oracles : oracle list
     (greedy/II/SA plans are valid permutations, report their true cost,
     and never beat the exact optimum). Registry entrants beyond the
     seed portfolio get auto-generated [<name>-vs-dp] / [<name>-bound]
-    oracles. The registry closes with [trace-replay-det]: the case
-    seeds a small {!Trace} workload, which must generate byte-identically
-    per params and replay byte-identically (non-control responses and
-    masked report) across runs — sampled 1-in-4 by instance size to
-    bound campaign cost. *)
+    oracles. Two trace oracles close the registry, each sampled 1-in-4
+    by instance size to bound campaign cost, with the case seeding a
+    small {!Trace} workload: [trace-replay-det] (the trace must
+    generate byte-identically per params and replay byte-identically —
+    non-control responses and masked report — across runs) and
+    [front-map-blind] (the same replay with a unique trailing comment
+    on every payload, {!Trace.with_nonces}, so serve's front map never
+    hits, must give the same non-control bytes and masked report). *)
 
 val oracle : name:string -> (case -> outcome) -> oracle
 (** Build a custom oracle — the registry extension point, also how

@@ -20,7 +20,8 @@
    into a bounded {!Pool.Chan} — a full channel blocks the reader,
    which is the backpressure signal. [jobs - 1] pool workers drain the
    channel. Each worker prepares its batch (parse, admission, budget —
-   all pure), then passes a turnstile that serialises the cache pass in
+   all pure, and memoized per payload bytes in the cache's front map),
+   then passes a turnstile that serialises the cache pass in
    batch order: because every lookup/claim/evict happens in exactly the
    arrival order the sequential loop would use, hit/miss/eviction
    decisions — and therefore response bytes — are identical to jobs=1.
@@ -152,6 +153,9 @@ let c_fallbacks = Obs.counter "serve.fallbacks"
 let c_queue_full = Obs.counter "serve.queue.full"
 let c_control = Obs.counter "serve.control.requests"
 let g_entries = Obs.gauge "serve.cache.entries"
+let c_front_hits = Obs.counter "serve.front.hits"
+let c_front_misses = Obs.counter "serve.front.misses"
+let g_front_entries = Obs.gauge "serve.front.entries"
 let g_queue = Obs.gauge "serve.queue.depth"
 
 (* The registered (process-global) latency histogram: every session's
@@ -193,7 +197,26 @@ module Cache = struct
     mutable s_evictions : int;
   }
 
-  type t = { sh : shard array; total : int Atomic.t }
+  (* The front map: raw request bytes -> the payload-determined verdict
+     of prepare, so a byte-identical repeat skips parse, canonical
+     dump, MD5 and the budget estimate. It memoizes a pure function,
+     so its contents (and its races at jobs > 1) can never change a
+     response byte or a total; the canonical table above stays the
+     one source of hit/miss/eviction decisions. FIFO-bounded at the
+     cache capacity: [f_ring] holds the keys in insertion order, and
+     once the table is full the slot at [f_next] is the oldest. *)
+  type verdict =
+    | Task of { key : string; approximate : bool }
+    | Reject of { code : string; msg : string }  (** parse / too-large *)
+
+  type front = {
+    f_m : Mutex.t;
+    f_tbl : (string, verdict) Hashtbl.t;
+    f_ring : string array;
+    mutable f_next : int;
+  }
+
+  type t = { sh : shard array; total : int Atomic.t; front : front }
 
   (* Shard count adapts down to the capacity so tiny caches (capacity 1
      in the eviction tests) keep the exact single-cache LRU semantics
@@ -217,7 +240,18 @@ module Cache = struct
         s_evictions = 0;
       }
     in
-    { sh = Array.init nsh mk; total = Atomic.make 0 }
+    let fcap = max 0 capacity in
+    {
+      sh = Array.init nsh mk;
+      total = Atomic.make 0;
+      front =
+        {
+          f_m = Mutex.create ();
+          f_tbl = Hashtbl.create (min fcap 1024);
+          f_ring = Array.make fcap "";
+          f_next = 0;
+        };
+    }
 
   let shard_count t = Array.length t.sh
 
@@ -375,6 +409,32 @@ module Cache = struct
 
   let length t = Atomic.get t.total
 
+  (* -------- the front map -------- *)
+
+  let front_find t k =
+    let f = t.front in
+    if Array.length f.f_ring = 0 then None
+    else begin
+      let v = Mutex.protect f.f_m (fun () -> Hashtbl.find_opt f.f_tbl k) in
+      Obs.incr (match v with Some _ -> c_front_hits | None -> c_front_misses);
+      v
+    end
+
+  (* Two workers may both miss on one key at jobs > 1; they computed
+     the same verdict, so the second insert is simply dropped. *)
+  let front_add t k v =
+    let f = t.front in
+    let cap = Array.length f.f_ring in
+    if cap > 0 then
+      Mutex.protect f.f_m (fun () ->
+          if not (Hashtbl.mem f.f_tbl k) then begin
+            if Hashtbl.length f.f_tbl >= cap then Hashtbl.remove f.f_tbl f.f_ring.(f.f_next);
+            Hashtbl.replace f.f_tbl k v;
+            f.f_ring.(f.f_next) <- k;
+            f.f_next <- (f.f_next + 1) mod cap;
+            Obs.set g_front_entries (Hashtbl.length f.f_tbl)
+          end)
+
   let shard_stats t =
     Array.map (fun s -> locked s (fun () -> (s.s_hits, s.s_misses, s.s_evictions))) t.sh
 end
@@ -465,7 +525,7 @@ type solved = { log2_cost : float; seq : int array }
 
 type engine = {
   e_n : int;
-  e_canonical : string;  (* domain-prefixed canonical dump: the cache-key basis *)
+  e_canonical : unit -> string;  (* domain-prefixed canonical dump: the cache-key basis *)
   e_csg_bounded : limit:int -> int option;
   e_solve : Solver.entry -> string * solved;
   e_fallback : unit -> string * solved;
@@ -487,7 +547,7 @@ let rat_engine payload =
   in
   {
     e_n = N.n inst;
-    e_canonical = "rat\n" ^ Qo.Io.dump_rat inst;
+    e_canonical = (fun () -> "rat\n" ^ Qo.Io.dump_rat inst);
     e_csg_bounded = (fun ~limit -> CCP.csg_count_bounded ~limit inst);
     (* solves are sequential within a request (no pool): with --jobs
        the parallelism is across requests, not inside the DP *)
@@ -509,7 +569,7 @@ let log_engine payload =
   in
   {
     e_n = N.n inst;
-    e_canonical = "log\n" ^ Qo.Io.dump_log inst;
+    e_canonical = (fun () -> "log\n" ^ Qo.Io.dump_log inst);
     e_csg_bounded = (fun ~limit -> CCP.csg_count_bounded ~limit inst);
     e_solve =
       (fun e ->
@@ -522,6 +582,9 @@ let log_engine payload =
               (Printf.sprintf "algo=%s supports only domain=rat" e.Solver.name));
     e_fallback = fallback;
   }
+
+let engine_of domain payload =
+  match domain with Rat -> rat_engine payload | Log -> log_engine payload
 
 (* ---------------- budget model ---------------- *)
 
@@ -608,10 +671,13 @@ type batch = {
   b_t0 : float;  (** enqueue time, for latency percentiles *)
 }
 
-(* Per-item outcome of the pure prepare phase. *)
+(* Per-item outcome of the pure prepare phase. The engine (the parsed
+   instance) is lazy: a front-map hit never parses, so only a request
+   that goes on to solve — a canonical miss, or a waiter whose
+   claimant failed — builds it, on the worker that owns its batch. *)
 type prepared =
   | P_err of { id : string; code : string; msg : string }
-  | P_task of { req : request; eng : engine; approximate : bool; key : string }
+  | P_task of { req : request; eng : engine Lazy.t; approximate : bool; key : string }
 
 (* Per-item state between the turnstile cache pass and the solve/wait
    phases. *)
@@ -619,13 +685,13 @@ type step =
   | S_done of string  (** response fully rendered *)
   | S_solve of {
       req : request;
-      eng : engine;
+      eng : engine Lazy.t;
       approximate : bool;
       claim : (string * Cache.entry * Cache.shard) option;
     }
   | S_await of {
       req : request;
-      eng : engine;
+      eng : engine Lazy.t;
       approximate : bool;
       entry : Cache.entry;
       shard : Cache.shard;
@@ -641,7 +707,45 @@ let solver_msg = function
   | Invalid_argument m | Failure m -> m
   | e -> Printexc.to_string e
 
-let prepare_item cfg ~ord it =
+(* The payload-determined part of prepare: parse, admission, budget and
+   the canonical key. A pure function of (algo, domain, budget,
+   payload), which is what lets the front map memoize it. *)
+let verdict_of cfg req payload =
+  match engine_of req.rq_domain payload with
+  | exception (Invalid_argument msg | Failure msg) -> (Cache.Reject { code = "parse"; msg }, None)
+  | eng ->
+      let cap_name, cap = admission_cap req.rq_algo in
+      if eng.e_n > cap then
+        ( Cache.Reject
+            {
+              code = "too-large";
+              msg =
+                Printf.sprintf "n=%d exceeds %s (%d) for algo=%s" eng.e_n cap_name cap
+                  (algo_name req.rq_algo);
+            },
+          None )
+      else
+        let approximate = over_budget cfg req eng in
+        let key =
+          Printf.sprintf "%s|%s|%s" (algo_name req.rq_algo)
+            (if approximate then "approx" else "exact")
+            (Digest.to_hex (Digest.string (eng.e_canonical ())))
+        in
+        (Cache.Task { key; approximate }, Some eng)
+
+(* Everything the verdict depends on, with the payload by digest. *)
+let front_key req payload =
+  String.concat "|"
+    [
+      algo_name req.rq_algo;
+      domain_name req.rq_domain;
+      (match req.rq_budget_ms with
+      | None -> "-"
+      | Some b -> Int64.to_string (Int64.bits_of_float b));
+      Digest.string payload;
+    ]
+
+let prepare_item cfg cache ~ord it =
   let default_id = string_of_int ord in
   match it with
   | I_junk line ->
@@ -672,34 +776,24 @@ let prepare_item cfg ~ord it =
                       (algo_name req.rq_algo);
                 }
           | Some payload -> (
-              match
-                try
-                  Ok
-                    (match req.rq_domain with
-                    | Rat -> rat_engine payload
-                    | Log -> log_engine payload)
-                with Invalid_argument msg | Failure msg -> Error msg
-              with
-              | Error msg -> P_err { id = req.rq_id; code = "parse"; msg }
-              | Ok eng ->
-                  let cap_name, cap = admission_cap req.rq_algo in
-                  if eng.e_n > cap then
-                    P_err
-                      {
-                        id = req.rq_id;
-                        code = "too-large";
-                        msg =
-                          Printf.sprintf "n=%d exceeds %s (%d) for algo=%s" eng.e_n cap_name
-                            cap (algo_name req.rq_algo);
-                      }
-                  else
-                    let approximate = over_budget cfg req eng in
-                    let key =
-                      Printf.sprintf "%s|%s|%s" (algo_name req.rq_algo)
-                        (if approximate then "approx" else "exact")
-                        (Digest.to_hex (Digest.string eng.e_canonical))
-                    in
-                    P_task { req; eng; approximate; key })))
+              let fkey = front_key req payload in
+              let verdict, eng =
+                match Cache.front_find cache fkey with
+                | Some v -> (v, None)
+                | None ->
+                    let v, eng = verdict_of cfg req payload in
+                    Cache.front_add cache fkey v;
+                    (v, eng)
+              in
+              match verdict with
+              | Cache.Reject { code; msg } -> P_err { id = req.rq_id; code; msg }
+              | Cache.Task { key; approximate } ->
+                  let eng =
+                    match eng with
+                    | Some e -> Lazy.from_val e
+                    | None -> lazy (engine_of req.rq_domain payload)
+                  in
+                  P_task { req; eng; approximate; key })))
 
 (* Batch tallies, folded into the shared stats under one lock. *)
 type tally = {
@@ -843,15 +937,14 @@ let apply_tally p (t : tally) =
   Obs.add c_coalesced t.t_coal;
   Obs.add c_fallbacks t.t_fb
 
+(* Forcing the lazy engine here puts a re-parse after a front-map hit
+   under the same error handling as the solve itself. *)
 let run_solve eng ~approximate req =
-  match
-    try
-      let label, s = if approximate then eng.e_fallback () else eng.e_solve req.rq_algo in
-      Ok (render_plan ~label ~log2_cost:s.log2_cost ~seq:s.seq)
-    with e -> Error (solver_msg e)
-  with
-  | Ok body -> Ok body
-  | Error msg -> Error msg
+  try
+    let eng = Lazy.force eng in
+    let label, s = if approximate then eng.e_fallback () else eng.e_solve req.rq_algo in
+    Ok (render_plan ~label ~log2_cost:s.log2_cost ~seq:s.seq)
+  with e -> Error (solver_msg e)
 
 let process_batch p b =
   let nreq = Array.length b.b_items in
@@ -883,7 +976,7 @@ let process_batch p b =
     Array.mapi
       (fun i it ->
         let t0 = Unix.gettimeofday () in
-        let r = prepare_item p.cfg ~ord:(b.b_first + i) it in
+        let r = prepare_item p.cfg p.cache ~ord:(b.b_first + i) it in
         Obs.Histogram.record p.st.stages.h_prepare (ns (Unix.gettimeofday () -. t0));
         r)
       b.b_items

@@ -51,7 +51,17 @@
     MD5 digest of the {!Qo.Io} dump of the {e parsed} instance, so
     formatting differences and comment lines do not defeat the cache),
     with LRU eviction. Cache hits return the stored response body
-    byte-for-byte.
+    byte-for-byte. In front of that canonical level sits a {e front
+    map} keyed on the exact request bytes — canonical algo, domain,
+    [budget_ms] and the MD5 of the raw payload — that remembers what
+    the payload decided: the canonical key with its exact/approximate
+    verdict, or a [parse] / [too-large] rejection. A byte-identical
+    repeat therefore skips parsing, the canonical dump, its MD5 and
+    the budget estimate, and goes straight to the canonical lookup.
+    The front map memoizes a pure function and is bounded at the
+    cache capacity, so it never changes a response byte or a total:
+    a front-map hit is still counted as the canonical hit or miss it
+    leads to.
 
     [budget_ms] enforces a deterministic work model rather than a
     wall-clock timeout (so tests are reproducible): exact DP work is
@@ -210,19 +220,34 @@ type io = {
 (** Transport abstraction: the same loop serves stdin/stdout, a Unix
     socket connection, or an in-memory string (tests). *)
 
-(** The sharded LRU plan cache. Entries are distributed over shards by
-    canonical-hash prefix, each shard owning its mutex, LRU clock and
-    hit/miss/eviction counters — concurrent requests for different
-    shards never contend. Exposed for tests (sharding equivalence and
-    the duplicate-insert regression); the serve loops construct and
-    drive their own instance. *)
+(** The two-level plan cache.
+
+    The canonical level is a sharded LRU. Entries are distributed over
+    shards by canonical-hash prefix, each shard owning its mutex, LRU
+    clock and hit/miss/eviction counters — concurrent requests for
+    different shards never contend. It alone decides hits, misses and
+    evictions.
+
+    The front level maps the raw request bytes (algo, domain, budget,
+    payload digest) to prepare's payload-determined verdict: a
+    canonical key with its exact/approximate flag, or a [parse] /
+    [too-large] rejection. Header-only failures never reach it. It is
+    FIFO-bounded at [capacity] entries under its own mutex; since it
+    memoizes a pure function, neither its contents nor its evictions
+    can change response bytes or totals at any [--jobs]. Its traffic
+    shows in the Obs counters [serve.front.hits] / [serve.front.misses]
+    and the gauge [serve.front.entries].
+
+    Exposed for tests (sharding equivalence and the duplicate-insert
+    regression); the serve loops construct and drive their own
+    instance, which {!serve_socket} shares across connections. *)
 module Cache : sig
   type t
 
   val create : ?shards:int -> capacity:int -> unit -> t
   (** [shards] defaults to {!default_config}'s [cache_shards] and is
       clamped to [capacity] so a capacity-1 cache is a single LRU.
-      [capacity <= 0] disables caching. *)
+      [capacity <= 0] disables caching, front map included. *)
 
   val shard_count : t -> int
   val shard_of_key : t -> string -> int

@@ -465,6 +465,20 @@ let inject_probes ~every text =
     Buffer.contents b
   end
 
+let with_nonces text =
+  let b = Buffer.create (String.length text + 4096) in
+  let k = ref 0 in
+  List.iteri
+    (fun i line ->
+      if i > 0 then Buffer.add_char b '\n';
+      if String.trim line = "end" then begin
+        incr k;
+        Buffer.add_string b (Printf.sprintf "# nonce %d\n" !k)
+      end;
+      Buffer.add_string b line)
+    (String.split_on_char '\n' text);
+  Buffer.contents b
+
 let replay ?pool ?config ?(probe_every = 0) trace =
   Obs.incr c_replays;
   let input = inject_probes ~every:probe_every trace in

@@ -100,6 +100,15 @@ val inject_probes : every:int -> string -> string
     the text unchanged. Control responses interleave with normal
     traffic without perturbing it ({!Serve.split_control}). *)
 
+val with_nonces : string -> string
+(** Insert a unique [# nonce <k>] comment before every [end] line, so
+    each payload gains a distinct trailing comment line. The requests
+    stay canonically the same — a trailing comment changes neither the
+    canonical dump nor a parse error's line number — but no two
+    payloads are byte-identical any more, so serve's front map never
+    hits: the "front map off" replay of the [front-map-blind] fuzz
+    oracle. *)
+
 val replay :
   ?pool:Pool.t ->
   ?config:Serve.config ->

@@ -54,10 +54,12 @@ let test_oracles_clean () =
 
 (* The registry's order and names are part of the report schema. *)
 let test_registry () =
-  check_int "registry size" 17 (List.length Fuzz.oracles);
+  check_int "registry size" 18 (List.length Fuzz.oracles);
   check "registry size floor" true (List.length Fuzz.oracles >= 15);
-  check_str "trace-replay-det closes the registry" "trace-replay-det"
+  check_str "trace-replay-det keeps its slot" "trace-replay-det"
     (List.nth Fuzz.oracles 16).Fuzz.name;
+  check_str "front-map-blind closes the registry" "front-map-blind"
+    (List.nth Fuzz.oracles 17).Fuzz.name;
   check_str "first oracle" "dp-vs-ccp" (List.hd Fuzz.oracles).Fuzz.name;
   let names = List.map (fun o -> o.Fuzz.name) Fuzz.oracles in
   check "ik-tree registered" true (List.mem "ik-tree" names);

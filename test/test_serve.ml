@@ -510,6 +510,212 @@ let test_report_masked_deterministic () =
     (let p50 = Serve.latency_percentile st1 50. and p99 = Serve.latency_percentile st1 99. in
      p99 >= p50 && p50 >= 0.)
 
+(* ---------------- front map ---------------- *)
+
+(* Run [f] and return its result with the front-map hits it made.
+   Trace.with_nonces gives every payload a unique trailing comment:
+   canonically the same requests, but the front map can never hit. *)
+let front_hits f =
+  let before = Obs.snapshot () in
+  let r = f () in
+  let d = Obs.diff before (Obs.snapshot ()) in
+  (r, Option.value ~default:0 (List.assoc_opt "serve.front.hits" d))
+
+(* A front-map hit leaves no trace in the output: the same stream with
+   and without byte-identical repeats gives the same bytes and totals. *)
+let test_front_repeat_vs_nonce () =
+  let stream = mixed_stream ^ mixed_stream in
+  List.iter
+    (fun jobs ->
+      let serve s =
+        if jobs = 1 then Serve.serve_string s
+        else Pool.with_pool ~jobs (fun pool -> Serve.serve_string ~pool s)
+      in
+      let (out, st), hits = front_hits (fun () -> serve stream) in
+      let (nout, nst), nhits = front_hits (fun () -> serve (Trace.with_nonces stream)) in
+      let label = Printf.sprintf "jobs=%d: " jobs in
+      Alcotest.(check string) (label ^ "bytes identical") nout out;
+      Alcotest.(check bool) (label ^ "totals identical") true (stats_key nst = stats_key st);
+      Alcotest.(check int) (label ^ "nonces never hit") 0 nhits;
+      if jobs = 1 then
+        (* the second copy's eight requests (its junk line carries no
+           payload) *)
+        Alcotest.(check int) (label ^ "second copy hits the front map") 8 hits)
+    [ 1; 2 ]
+
+(* Every field of the front key matters: the same payload bytes under a
+   different budget, domain or algo get their own verdict, and an alias
+   shares its canonical name's entry. *)
+let test_front_key_fields () =
+  (* integer scalars: valid in both domains (inst2's 1/10 is rat-only) *)
+  let both =
+    "qon 1\nn 3\nsize 0 100\nsize 1 20\nsize 2 50\n\
+     edge 0 1 sel 1 wij 100 wji 20\nedge 1 2 sel 1 wij 20 wji 50\n"
+  in
+  let twice reqs = String.concat "" (reqs @ reqs) in
+  let header_of out id =
+    List.filter_map
+      (fun b -> match b with h :: _ when contains h ("id=" ^ id ^ " ") -> Some h | _ -> None)
+      (blocks out)
+  in
+  let check_headers out id expected =
+    Alcotest.(check (list string)) ("responses to " ^ id) expected (header_of out id)
+  in
+  (* budget: budget_ms=0 is approximate, no budget is exact *)
+  let (out, _), hits =
+    front_hits (fun () ->
+        Serve.serve_string
+          (twice
+             [
+               request ~header:"request id=tight algo=dp budget_ms=0" inst2;
+               request ~header:"request id=free algo=dp" inst2;
+             ]))
+  in
+  Alcotest.(check int) "budget: repeats hit" 2 hits;
+  check_headers out "tight"
+    [
+      "response id=tight status=ok algo=dp domain=rat cache=miss approximate=true";
+      "response id=tight status=ok algo=dp domain=rat cache=hit approximate=true";
+    ];
+  check_headers out "free"
+    [
+      "response id=free status=ok algo=dp domain=rat cache=miss approximate=false";
+      "response id=free status=ok algo=dp domain=rat cache=hit approximate=false";
+    ];
+  (* domain: a payload both domains accept, and one only rat accepts *)
+  let (out, _), hits =
+    front_hits (fun () ->
+        Serve.serve_string
+          (twice
+             [
+               request ~header:"request id=L algo=dp domain=log" both;
+               request ~header:"request id=R algo=dp domain=rat" both;
+               request ~header:"request id=Lq algo=dp domain=log" inst2;
+               request ~header:"request id=Rq algo=dp domain=rat" inst2;
+             ]))
+  in
+  Alcotest.(check int) "domain: repeats hit" 4 hits;
+  check_headers out "L"
+    [
+      "response id=L status=ok algo=dp domain=log cache=miss approximate=false";
+      "response id=L status=ok algo=dp domain=log cache=hit approximate=false";
+    ];
+  check_headers out "R"
+    [
+      "response id=R status=ok algo=dp domain=rat cache=miss approximate=false";
+      "response id=R status=ok algo=dp domain=rat cache=hit approximate=false";
+    ];
+  check_headers out "Lq"
+    [
+      "response id=Lq status=error code=parse"; "response id=Lq status=error code=parse";
+    ];
+  check_headers out "Rq"
+    [
+      "response id=Rq status=ok algo=dp domain=rat cache=miss approximate=false";
+      "response id=Rq status=ok algo=dp domain=rat cache=hit approximate=false";
+    ];
+  (* algo: the 24-chain is too large for dp, fine for ccp *)
+  let (out, st), hits =
+    front_hits (fun () ->
+        Serve.serve_string
+          (twice
+             [
+               request ~header:"request id=D algo=dp" (chain_inst 24);
+               request ~header:"request id=C algo=ccp" (chain_inst 24);
+             ]))
+  in
+  Alcotest.(check int) "algo: repeats hit" 2 hits;
+  check_headers out "D"
+    [ "response id=D status=error code=too-large"; "response id=D status=error code=too-large" ];
+  check_headers out "C"
+    [
+      "response id=C status=ok algo=ccp domain=rat cache=miss approximate=false";
+      "response id=C status=ok algo=ccp domain=rat cache=hit approximate=false";
+    ];
+  Alcotest.(check int) "algo: both rejections counted" 2 st.Serve.rejected;
+  (* alias: lattice resolves to dp before the front key is built *)
+  let _, hits =
+    front_hits (fun () ->
+        Serve.serve_string
+          (request ~header:"request id=d algo=dp" inst2
+          ^ request ~header:"request id=l algo=lattice" inst2))
+  in
+  Alcotest.(check int) "alias shares dp's front entry" 1 hits
+
+(* The front map outlives canonical entries: it is FIFO, the canonical
+   level LRU. A request whose front entry survives but whose canonical
+   entry was evicted must re-solve through the lazy engine. *)
+let test_front_outlives_canonical () =
+  let a = request ~header:"request id=A algo=dp" inst2 in
+  let b = request ~header:"request id=B algo=dp" (chain_inst 3) in
+  let c = request ~header:"request id=C algo=dp" (chain_inst 4) in
+  (* capacity 1: A's front entry goes with its canonical one *)
+  let config1 = { Serve.default_config with Serve.cache_capacity = 1 } in
+  let (out, st), hits = front_hits (fun () -> Serve.serve_string ~config:config1 (a ^ b ^ a)) in
+  let nout, nst = Serve.serve_string ~config:config1 (Trace.with_nonces (a ^ b ^ a)) in
+  Alcotest.(check string) "capacity 1: A, B, A bytes" nout out;
+  Alcotest.(check bool) "capacity 1: totals" true (stats_key nst = stats_key st);
+  Alcotest.(check int) "capacity 1: A's front entry was evicted by B" 0 hits;
+  (* capacity 2, one LRU: A, B, A, C evicts A from the front (FIFO) and
+     B from the canonical level (LRU), so the final B is a front hit
+     and a canonical miss *)
+  let config2 = { Serve.default_config with Serve.cache_capacity = 2; cache_shards = 1 } in
+  let stream = a ^ b ^ a ^ c ^ b in
+  let (out, st), hits = front_hits (fun () -> Serve.serve_string ~config:config2 stream) in
+  let nout, nst = Serve.serve_string ~config:config2 (Trace.with_nonces stream) in
+  Alcotest.(check string) "capacity 2: bytes" nout out;
+  Alcotest.(check bool) "capacity 2: totals" true (stats_key nst = stats_key st);
+  Alcotest.(check int) "capacity 2: A and the final B hit the front map" 2 hits;
+  Alcotest.(check int) "capacity 2: only A's repeat hits the canonical level" 1
+    st.Serve.cache_hits;
+  match List.filter (fun bl -> contains (List.hd bl) "id=B ") (blocks out) with
+  | [ [ h1; p1 ]; [ h2; p2 ] ] ->
+      Alcotest.(check string) "re-solved B is a canonical miss" h1 h2;
+      Alcotest.(check string) "with B's plan" p1 p2
+  | _ -> Alcotest.failf "expected two B responses in %s" out
+
+(* Memoized rejections are replayed byte for byte and counted every
+   time they are served. *)
+let test_front_rejections_counted () =
+  let big = request ~header:"request id=r algo=dp" (chain_inst 24) in
+  let bad = request ~header:"request id=r algo=dp" "this is not qon\n" in
+  let (out, st), hits =
+    front_hits (fun () -> Serve.serve_string (big ^ bad ^ big ^ bad ^ big ^ bad))
+  in
+  Alcotest.(check int) "four of six served from the front map" 4 hits;
+  (match blocks out with
+  | [ b1; p1; b2; p2; b3; p3 ] ->
+      Alcotest.(check bool) "too-large then parse" true
+        (contains (List.hd b1) "code=too-large" && contains (List.hd p1) "code=parse");
+      List.iter (Alcotest.(check block_testable) "too-large replayed byte for byte" b1) [ b2; b3 ];
+      List.iter (Alcotest.(check block_testable) "parse replayed byte for byte" p1) [ p2; p3 ]
+  | bs -> Alcotest.failf "expected 6 blocks, got %d" (List.length bs));
+  Alcotest.(check int) "every too-large counted" 3 st.Serve.rejected;
+  Alcotest.(check int) "every parse error counted" 3 st.Serve.errors
+
+(* The front map holds at most [capacity] entries, read from its gauge
+   after every response. *)
+let test_front_bounded () =
+  let cap = 4 in
+  let config = { Serve.default_config with Serve.cache_capacity = cap } in
+  let stream =
+    String.concat ""
+      (List.init 20 (fun i -> request ~header:"request algo=greedy" (chain_inst (2 + (i mod 10)))))
+  in
+  let gauge () = Option.value ~default:0 (List.assoc_opt "serve.front.entries" (Obs.snapshot ())) in
+  let peak = ref 0 in
+  let lines = ref (String.split_on_char '\n' stream) in
+  let next_line () =
+    match !lines with
+    | [] -> None
+    | l :: rest ->
+        lines := rest;
+        Some l
+  in
+  let write _ = peak := max !peak (gauge ()) in
+  ignore (Serve.serve_io ~config { Serve.next_line; write; flush = (fun () -> ()) } : Serve.stats);
+  Alcotest.(check int) "the map filled to capacity and no further" cap !peak
+
 (* ---------------- graceful shutdown ---------------- *)
 
 let test_shutdown_mid_stream () =
@@ -845,6 +1051,18 @@ let () =
           Alcotest.test_case "duplicate coalescing" `Quick test_concurrent_coalescing;
           Alcotest.test_case "masked report determinism" `Quick
             test_report_masked_deterministic;
+        ] );
+      ( "front map",
+        [
+          Alcotest.test_case "repeats = nonce stream (jobs 1, 2)" `Quick
+            test_front_repeat_vs_nonce;
+          Alcotest.test_case "key fields: budget, domain, algo, alias" `Quick
+            test_front_key_fields;
+          Alcotest.test_case "front entry outlives canonical entry" `Quick
+            test_front_outlives_canonical;
+          Alcotest.test_case "memoized rejections counted" `Quick
+            test_front_rejections_counted;
+          Alcotest.test_case "bounded at capacity" `Quick test_front_bounded;
         ] );
       ( "lifecycle",
         [
