@@ -24,6 +24,7 @@ let to_int_opt t =
   | None -> None
 
 let sign t = t.sg
+let magnitude t = t.mag
 let abs t = { t with sg = Stdlib.abs t.sg }
 let neg t = { t with sg = -t.sg }
 let is_zero t = t.sg = 0

@@ -19,6 +19,9 @@ val to_float : t -> float
 val sign : t -> int
 (** -1, 0, or 1. *)
 
+val magnitude : t -> Bignat.t
+(** [|t|] as a natural number. *)
+
 val abs : t -> t
 val neg : t -> t
 val is_zero : t -> bool

@@ -164,7 +164,7 @@ let split_at (a : t) k =
   else (normalize (Array.sub a 0 k), normalize (Array.sub a k (la - k)))
 
 let shift_limbs (a : t) k =
-  if is_zero a || k = 0 then if k = 0 then a else a
+  if is_zero a || k = 0 then a
   else begin
     let la = Array.length a in
     let r = Array.make (la + k) 0 in
@@ -349,7 +349,25 @@ let pow (b : t) e =
   in
   if e = 0 then one else go one b e
 
-let rec gcd a b = if is_zero b then a else gcd b (rem a b)
+(* [a mod d] for a single limb [0 < d < base], without building the
+   quotient: [r lsl base_bits] stays below [2^62]. *)
+let rem_limb (a : t) d =
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl base_bits) lor a.(i)) mod d
+  done;
+  !r
+
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+(* Euclid on limbs until one operand fits a single limb, then on
+   native ints. *)
+let rec gcd a b =
+  if is_zero b then a
+  else if is_zero a then b
+  else if Array.length b = 1 then of_int (gcd_int b.(0) (rem_limb a b.(0)))
+  else if Array.length a = 1 then of_int (gcd_int a.(0) (rem_limb b a.(0)))
+  else gcd b (rem a b)
 
 let sqrt (a : t) =
   if is_zero a then zero

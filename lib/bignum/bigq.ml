@@ -5,22 +5,29 @@ type t = { n : Bigint.t; d : Bignat.t (* > 0 *) }
 let zero = { n = Bigint.zero; d = Bignat.one }
 let one = { n = Bigint.one; d = Bignat.one }
 
+let is_one d = Bignat.equal d Bignat.one
+
+(* [n / g] for a divisor [g] of [n], sign kept *)
+let div_exact n g =
+  if is_one g then n
+  else begin
+    let q = Bigint.of_nat (Bignat.div (Bigint.magnitude n) g) in
+    if Bigint.sign n < 0 then Bigint.neg q else q
+  end
+
 let normalize n d =
   if Bignat.is_zero d then raise Division_by_zero
   else if Bigint.is_zero n then zero
   else begin
-    let g = Bignat.gcd (Bigint.abs n |> fun a -> Option.get (Bigint.to_nat_opt a)) d in
-    let mag = Option.get (Bigint.to_nat_opt (Bigint.abs n)) in
-    let n' = Bignat.div mag g and d' = Bignat.div d g in
-    let sg = Bigint.sign n in
-    { n = (if sg >= 0 then Bigint.of_nat n' else Bigint.neg (Bigint.of_nat n')); d = d' }
+    let g = Bignat.gcd (Bigint.magnitude n) d in
+    if is_one g then { n; d } else { n = div_exact n g; d = Bignat.div d g }
   end
 
 let make num den =
   match Bigint.sign den with
   | 0 -> raise Division_by_zero
-  | s when s > 0 -> normalize num (Option.get (Bigint.to_nat_opt den))
-  | _ -> normalize (Bigint.neg num) (Option.get (Bigint.to_nat_opt (Bigint.abs den)))
+  | s when s > 0 -> normalize num (Bigint.magnitude den)
+  | _ -> normalize (Bigint.neg num) (Bigint.magnitude den)
 
 let of_int i = { n = Bigint.of_int i; d = Bignat.one }
 let of_ints a b = make (Bigint.of_int a) (Bigint.of_int b)
@@ -35,23 +42,69 @@ let abs t = { t with n = Bigint.abs t.n }
 let inv t =
   match Bigint.sign t.n with
   | 0 -> raise Division_by_zero
-  | s when s > 0 -> { n = Bigint.of_nat t.d; d = Option.get (Bigint.to_nat_opt t.n) }
-  | _ -> { n = Bigint.neg (Bigint.of_nat t.d); d = Option.get (Bigint.to_nat_opt (Bigint.abs t.n)) }
+  | s when s > 0 -> { n = Bigint.of_nat t.d; d = Bigint.magnitude t.n }
+  | _ -> { n = Bigint.neg (Bigint.of_nat t.d); d = Bigint.magnitude t.n }
 
+let scale n d = if is_one d then n else Bigint.mul n (Bigint.of_nat d)
+let dmul x y = if is_one x then y else if is_one y then x else Bignat.mul x y
+
+(* Knuth 4.5.1: with d1 = gcd(a.d, b.d), the sum is
+   t / (a.d/d1 * b.d/d2) where t = a.n*(b.d/d1) + b.n*(a.d/d1) and
+   d2 = gcd(t, d1); no other common factor can arise, so the result
+   needs no further normalization. d1 = 1 (every integer operand)
+   skips both gcds. *)
 let add a b =
-  let n = Bigint.add (Bigint.mul a.n (Bigint.of_nat b.d)) (Bigint.mul b.n (Bigint.of_nat a.d)) in
-  normalize n (Bignat.mul a.d b.d)
+  if is_zero a then b
+  else if is_zero b then a
+  else begin
+    let d1 = if is_one a.d || is_one b.d then Bignat.one else Bignat.gcd a.d b.d in
+    if is_one d1 then { n = Bigint.add (scale a.n b.d) (scale b.n a.d); d = dmul a.d b.d }
+    else begin
+      let ad = Bignat.div a.d d1 and bd = Bignat.div b.d d1 in
+      let t = Bigint.add (scale a.n bd) (scale b.n ad) in
+      if Bigint.is_zero t then zero
+      else begin
+        let d2 = Bignat.gcd (Bigint.magnitude t) d1 in
+        { n = div_exact t d2; d = dmul ad (if is_one d2 then b.d else Bignat.div b.d d2) }
+      end
+    end
+  end
 
 let sub a b = add a (neg b)
-let mul a b = normalize (Bigint.mul a.n b.n) (Bignat.mul a.d b.d)
+
+(* Knuth 4.5.1: cancel gcd(a.n, b.d) and gcd(b.n, a.d) before
+   multiplying; the product is then already in lowest terms. *)
+let mul a b =
+  if is_zero a || is_zero b then zero
+  else begin
+    let g1 = if is_one b.d then Bignat.one else Bignat.gcd (Bigint.magnitude a.n) b.d in
+    let g2 = if is_one a.d then Bignat.one else Bignat.gcd (Bigint.magnitude b.n) a.d in
+    let cut d g = if is_one g then d else Bignat.div d g in
+    { n = Bigint.mul (div_exact a.n g1) (div_exact b.n g2); d = dmul (cut a.d g2) (cut b.d g1) }
+  end
+
 let div a b = mul a (inv b)
 
 let pow t e =
   if e >= 0 then { n = Bigint.pow t.n e; d = Bignat.pow t.d e }
   else inv { n = Bigint.pow t.n (-e); d = Bignat.pow t.d (-e) }
 
+(* Sign first, then equal denominators, then magnitude: with
+   e = bits(|num|) - bits(den), a positive value lies in
+   (2^(e-1), 2^(e+1)), so exponents two or more apart decide without
+   allocating. Only the remaining cases cross-multiply. *)
 let compare a b =
-  Bigint.compare (Bigint.mul a.n (Bigint.of_nat b.d)) (Bigint.mul b.n (Bigint.of_nat a.d))
+  let sa = Bigint.sign a.n and sb = Bigint.sign b.n in
+  if sa <> sb then Stdlib.compare sa sb
+  else if sa = 0 then 0
+  else if Bignat.equal a.d b.d then Bigint.compare a.n b.n
+  else begin
+    let e q = Bignat.num_bits (Bigint.magnitude q.n) - Bignat.num_bits q.d in
+    let ea = e a and eb = e b in
+    if ea >= eb + 2 then sa
+    else if eb >= ea + 2 then -sa
+    else Bigint.compare (scale a.n b.d) (scale b.n a.d)
+  end
 
 let equal a b = Bigint.equal a.n b.n && Bignat.equal a.d b.d
 let min a b = if compare a b <= 0 then a else b
@@ -62,9 +115,9 @@ let log2 t =
   match Bigint.sign t.n with
   | 0 -> neg_infinity
   | s when s < 0 -> nan
-  | _ ->
-      let mag = Option.get (Bigint.to_nat_opt t.n) in
-      Bignat.log2 mag -. Bignat.log2 t.d
+  | _ -> Bignat.log2 (Bigint.magnitude t.n) -. Bignat.log2 t.d
+
+let bit_width t = Bignat.num_bits (Bigint.magnitude t.n) + Bignat.num_bits t.d
 
 let to_string t =
   if Bignat.equal t.d Bignat.one then Bigint.to_string t.n

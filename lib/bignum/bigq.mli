@@ -32,6 +32,11 @@ val log2 : t -> float
     [neg_infinity] for zero. Exact to float precision even when the
     value itself over/under-flows floats. *)
 
+val bit_width : t -> int
+(** Bit length of the numerator's magnitude plus that of the
+    denominator: the operand width that bounds {!log2}'s rounding
+    error. *)
+
 val is_zero : t -> bool
 val sign : t -> int
 val equal : t -> t -> bool

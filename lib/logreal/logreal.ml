@@ -27,7 +27,7 @@ let max (a : t) (b : t) = Float.max a b
 let approx_equal ?(tol = 1e-6) a b =
   if Float.is_finite a && Float.is_finite b then Float.abs (a -. b) <= tol else a = b
 
-let mul (a : t) (b : t) : t =
+let[@inline] mul (a : t) (b : t) : t =
   (* 0 * inf: treat as 0 (costs: an impossible plan dominates). *)
   if a = neg_infinity || b = neg_infinity then neg_infinity else a +. b
 
@@ -37,7 +37,7 @@ let inv (t : t) : t =
 let div a b = if b = neg_infinity then raise Division_by_zero else mul a (-.b)
 
 (* log2(2^a + 2^b) = max + log2(1 + 2^(min-max)) *)
-let add (a : t) (b : t) : t =
+let[@inline] add (a : t) (b : t) : t =
   if a = neg_infinity then b
   else if b = neg_infinity then a
   else if a = Float.infinity || b = Float.infinity then Float.infinity
@@ -45,6 +45,9 @@ let add (a : t) (b : t) : t =
     let hi = Float.max a b and lo = Float.min a b in
     hi +. (Float.log1p (Float.pow 2.0 (lo -. hi)) /. Float.log 2.0)
   end
+
+let mul_log2 = mul
+let add_log2 = add
 
 let sub (a : t) (b : t) : t =
   if b = neg_infinity then a

@@ -51,6 +51,11 @@ val inv : t -> t
 val add : t -> t -> t
 (** Log-sum-exp; exact when one side is {!zero}. *)
 
+val mul_log2 : float -> float -> float
+val add_log2 : float -> float -> float
+(** {!mul} and {!add} on raw log2 values: the same operations, for
+    callers that keep log2 estimates in unboxed [Float.Array]s. *)
+
 val sub : t -> t -> t
 (** [sub a b] for [a >= b]; clamps small negative residues to {!zero}.
     @raise Invalid_argument when [b > a] beyond float tolerance. *)

@@ -48,26 +48,10 @@ module Make (C : Cost.S) = struct
   let max_ccp_word_n = 61
   let max_ccp_n = 256
 
-  let lowest_bit m = m land -m
+  module L = Lattice.Make (C)
 
-  (* index of a single set bit: trailing-zero count by halving (same
-     routine as the lattice DP, so the scan costs match) *)
-  let bit_index b =
-    let i = ref 0 and v = ref b in
-    while !v land 1 = 0 do
-      incr i;
-      v := !v lsr 1
-    done;
-    !i
-
-  let adjacency_masks (inst : I.t) n =
-    let adj = Array.make n 0 in
-    for v = 0 to n - 1 do
-      Graphlib.Bitset.iter
-        (fun u -> adj.(v) <- adj.(v) lor (1 lsl u))
-        (Graphlib.Ugraph.neighbors inst.I.graph v)
-    done;
-    adj
+  let lowest_bit = L.lowest_bit
+  let bit_index = L.bit_index
 
   (* DPccp-style EnumerateCsg: call [emit] exactly once per connected
      subset of the graph given by [adj]. Start points are visited from
@@ -107,13 +91,7 @@ module Make (C : Cost.S) = struct
       expand s ((1 lsl (v + 1)) - 1) (adj.(v) land lnot s)
     done
 
-  let popcount m =
-    let c = ref 0 and v = ref m in
-    while !v <> 0 do
-      incr c;
-      v := !v land (!v - 1)
-    done;
-    !c
+  let popcount = L.popcount
 
   (* All connected subsets grouped by cardinality (layer [k] holds the
      k-subsets, sorted ascending for determinism and locality). *)
@@ -231,7 +209,7 @@ module Make (C : Cost.S) = struct
       if n > max_ccp_n then
         invalid_arg (Printf.sprintf "Ccp.csg_count: n=%d too large (max %d)" n max_ccp_n);
       if n <= max_ccp_word_n then begin
-        let adj = adjacency_masks inst n in
+        let adj = L.adjacency inst in
         let _, count = connected_layers ~n ~adj in
         count
       end
@@ -256,7 +234,7 @@ module Make (C : Cost.S) = struct
     if n = 0 then Some 0
     else if n > max_ccp_n then None
     else if n <= max_ccp_word_n then begin
-      let adj = adjacency_masks inst n in
+      let adj = L.adjacency inst in
       let count = ref 0 in
       match
         enumerate_csg ~n ~adj (fun _ ->
@@ -268,10 +246,12 @@ module Make (C : Cost.S) = struct
     end
     else csg_count_bounded_words ~limit inst n
 
-  (* single-word dp (n <= max_ccp_word_n): masks are plain ints *)
+  (* single-word dp (n <= max_ccp_word_n): masks are plain ints, the
+     connected subsets are the slots of the shared certified key filter
+     ({!Lattice}) *)
   let dp_connected_word ?pool (inst : I.t) n : O.plan =
     Obs.span "ccp.dp_connected" @@ fun () ->
-    let adj = adjacency_masks inst n in
+    let adj = L.adjacency inst in
     let layers, count = Obs.span "ccp.enumerate_csg" (fun () -> connected_layers ~n ~adj) in
     Obs.incr c_runs;
     Obs.add c_subsets count;
@@ -290,114 +270,33 @@ module Make (C : Cost.S) = struct
     (let st = Hashtbl.stats idx in
      Obs.set g_idx_buckets st.Hashtbl.num_buckets;
      Obs.set g_idx_max_bucket st.Hashtbl.max_bucket_length);
-    (* N(S), evaluated with the lattice DP's lowest-bit-first order and
-       memoized: [S \ {lowest}] can be disconnected, so the memo also
-       holds the (shared) disconnected tails the recursion peels
-       through. Total extra entries are bounded by n * #csg. *)
-    let size_memo = Hashtbl.create (4 * count) in
-    let rec size_of s =
-      if s = 0 then C.one
-      else
-        match Hashtbl.find_opt size_memo s with
-        | Some v -> v
-        | None ->
-            let b = lowest_bit s in
-            let v = bit_index b in
-            let rest = s lxor b in
-            let size_rest = size_of rest in
-            let acc = ref (C.mul size_rest inst.I.sizes.(v)) in
-            let common = ref (rest land adj.(v)) in
-            let row = inst.I.sel.(v) in
-            while !common <> 0 do
-              let ub = lowest_bit !common in
-              acc := C.mul !acc row.(bit_index ub);
-              common := !common lxor ub
-            done;
-            Hashtbl.add size_memo s !acc;
-            !acc
-    in
-    (* compact per-connected-subset tables *)
-    let sizes = Array.make (Stdlib.max 1 count) C.one in
-    Array.iter
-      (fun layer -> Array.iter (fun s -> sizes.(Hashtbl.find idx s) <- size_of s) layer)
-      layers;
-    Obs.set g_size_memo (Hashtbl.length size_memo);
-    let dp = Array.make (Stdlib.max 1 count) C.infinity in
-    let parent = Array.make (Stdlib.max 1 count) (-1) in
-    Array.iter
-      (fun s ->
-        let i = Hashtbl.find idx s in
-        dp.(i) <- C.zero;
-        parent.(i) <- bit_index s)
-      layers.(1);
-    (* same transition, candidate order and tie-break as the lattice
-       [fill_dp]; a candidate exists iff [s \ {j}] is connected, i.e.
-       present in the table *)
-    let min_w_mask j s =
-      let best = ref C.infinity in
-      let row = inst.I.w.(j) in
-      let m = ref s in
-      while !m <> 0 do
-        let b = lowest_bit !m in
-        let c = row.(bit_index b) in
-        if C.compare c !best < 0 then best := c;
-        m := !m lxor b
-      done;
-      !best
-    in
-    let fill_dp s =
-      let i = Hashtbl.find idx s in
-      let m = ref s in
-      let trans = ref 0 in
-      while !m <> 0 do
-        let b = lowest_bit !m in
-        let j = bit_index b in
-        let rest = s lxor b in
-        (match Hashtbl.find_opt idx rest with
-        | Some ri ->
-            incr trans;
-            let cand = C.add dp.(ri) (C.mul sizes.(ri) (min_w_mask j rest)) in
-            if C.compare cand dp.(i) < 0 then begin
-              dp.(i) <- cand;
-              parent.(i) <- j
-            end
-        | None -> ());
-        m := !m lxor b
-      done;
-      Obs.add c_transitions !trans
-    in
-    (* layer k only reads layer k-1 (dp, sizes) and writes its own
-       slots, so the layers parallelise exactly like the lattice's
-       popcount layers; [idx] and [sizes] are read-only here *)
-    (match pool with
-    | Some pool when Pool.jobs pool > 1 ->
-        for k = 2 to n do
-          let layer = layers.(k) in
-          let fill () =
-            Pool.parallel_for pool ~lo:0 ~hi:(Array.length layer - 1) (fun t ->
-                fill_dp layer.(t))
-          in
-          if Obs.enabled () then Obs.span ("ccp.dp.layer." ^ string_of_int k) fill
-          else fill ()
-        done
-    | _ ->
-        for k = 2 to n do
-          let fill () = Array.iter fill_dp layers.(k) in
-          if Obs.enabled () then Obs.span ("ccp.dp.layer." ^ string_of_int k) fill
-          else fill ()
-        done);
-    let full = (1 lsl n) - 1 in
-    match Hashtbl.find_opt idx full with
-    | None -> { O.cost = C.infinity; seq = [||] }
-    | Some fi ->
-        let seq = Array.make n (-1) in
-        let s = ref full in
-        for pos = n - 1 downto 0 do
-          let j = parent.(Hashtbl.find idx !s) in
-          seq.(pos) <- j;
-          s := !s lxor (1 lsl j)
-        done;
-        { O.cost = dp.(fi); seq }
+    let slot s = match Hashtbl.find_opt idx s with Some i -> i | None -> -1 in
+    let t = L.create inst ~adj ~slots:(Stdlib.max 1 count) ~slot in
+    (* N(S) keys layer by layer: [S \ {lowest}] is either a table entry
+       of the previous layer or a disconnected tail the filter peels
+       through *)
+    Array.iter (Array.iter (fun s -> L.fill_size t s (slot s))) layers;
+    (* a candidate exists iff [s \ {j}] is connected, i.e. present in
+       the table, which implies a predicate to [j] *)
+    let fill_dp ~defer s = Obs.add c_transitions (L.fill t ~cartesian:true ~defer s (slot s)) in
+    (* layer k only reads layer k-1 and writes its own slots, so the
+       layers parallelise exactly like the lattice's popcount layers;
+       near-ties are settled sequentially before the next layer *)
+    for k = 2 to n do
+      let layer = layers.(k) in
+      let fill () =
+        match pool with
+        | Some pool when Pool.jobs pool > 1 ->
+            Pool.parallel_for pool ~lo:0 ~hi:(Array.length layer - 1) (fun i ->
+                fill_dp ~defer:true layer.(i));
+            Array.iter (fun s -> L.settle t ~cartesian:true s (slot s)) layer
+        | _ -> Array.iter (fill_dp ~defer:false) layer
+      in
+      if Obs.enabled () then Obs.span ("ccp.dp.layer." ^ string_of_int k) fill else fill ()
+    done;
+    let cost, seq = L.plan t ((1 lsl n) - 1) in
+    Obs.set g_size_memo (L.exact_sizes t);
+    { O.cost; seq }
 
   (** Multi-word dp over [Graphlib.Bitset] subsets: the same table
       layout, size evaluation, transition and tie-break as the

@@ -57,150 +57,21 @@ module Make (C : Cost.S) = struct
       subsets cap there. *)
   let max_conv_n = P.max_ccp_n
 
+  module L = Lattice.Make (C)
+
   (* Dense regime: the rank-by-rank tropical convolution over the full
-     lattice. Bit-identical to [Opt.dp_generic ~no_cartesian:true] —
-     same size evaluation, candidate order, improvement rule — with
-     the lattice always counting-sorted into popcount layers (the
-     convolution's rank structure), sequential or pool-parallel. *)
+     lattice, through the shared certified key filter ({!Lattice}).
+     Bit-identical to [Opt.dp_generic ~no_cartesian:true] — same size
+     evaluation, candidate order, improvement rule — with the lattice
+     always swept in popcount layers (the convolution's rank
+     structure), sequential or pool-parallel. *)
   let solve_dense ?pool (inst : I.t) n : O.plan =
-    let full = (1 lsl n) - 1 in
-    Obs.add c_dense_subsets (full + 1);
-    let graph = inst.I.graph in
-    let adj = Array.make n 0 in
-    for v = 0 to n - 1 do
-      Graphlib.Bitset.iter
-        (fun u -> adj.(v) <- adj.(v) lor (1 lsl u))
-        (Graphlib.Ugraph.neighbors graph v)
-    done;
-    let lowest_bit m = m land -m in
-    let bit_index b =
-      let i = ref 0 and v = ref b in
-      while !v land 1 = 0 do
-        incr i;
-        v := !v lsr 1
-      done;
-      !i
+    Obs.add c_dense_subsets (1 lsl n);
+    let cost, seq =
+      L.dense ?pool ~layered:true ~layer_span:"conv.dense.layer." ~transitions:c_dense_transitions
+        ~cartesian:false inst
     in
-    (* N(S): lowest-bit-first, the lattice DP's evaluation order *)
-    let sizes = Array.make (full + 1) C.one in
-    let fill_size s =
-      let b = lowest_bit s in
-      let v = bit_index b in
-      let rest = s lxor b in
-      let acc = ref (C.mul sizes.(rest) inst.I.sizes.(v)) in
-      let common = ref (rest land adj.(v)) in
-      let row = inst.I.sel.(v) in
-      while !common <> 0 do
-        let ub = lowest_bit !common in
-        acc := C.mul !acc row.(bit_index ub);
-        common := !common lxor ub
-      done;
-      sizes.(s) <- !acc
-    in
-    let min_w_mask j s =
-      let best = ref C.infinity in
-      let row = inst.I.w.(j) in
-      let m = ref s in
-      while !m <> 0 do
-        let b = lowest_bit !m in
-        let c = row.(bit_index b) in
-        if C.compare c !best < 0 then best := c;
-        m := !m lxor b
-      done;
-      !best
-    in
-    let dp = Array.make (full + 1) C.infinity in
-    let parent = Array.make (full + 1) (-1) in
-    for v = 0 to n - 1 do
-      dp.(1 lsl v) <- C.zero;
-      parent.(1 lsl v) <- v
-    done;
-    (* one lattice point of the layer-k convolution: combine every
-       rank-(k-1) predecessor in ascending candidate order *)
-    let fill_dp s =
-      let m = ref s in
-      let trans = ref 0 in
-      while !m <> 0 do
-        let b = lowest_bit !m in
-        let j = bit_index b in
-        let rest = s lxor b in
-        if rest land adj.(j) <> 0 && C.is_finite dp.(rest) then begin
-          incr trans;
-          let cand = C.add dp.(rest) (C.mul sizes.(rest) (min_w_mask j rest)) in
-          if C.compare cand dp.(s) < 0 then begin
-            dp.(s) <- cand;
-            parent.(s) <- j
-          end
-        end;
-        m := !m lxor b
-      done;
-      Obs.add c_dense_transitions !trans
-    in
-    (* counting sort into popcount layers: the rank decomposition of
-       the convolution *)
-    let popcount m =
-      let c = ref 0 and v = ref m in
-      while !v <> 0 do
-        incr c;
-        v := !v land (!v - 1)
-      done;
-      !c
-    in
-    let off = Array.make (n + 2) 0 in
-    for s = 0 to full do
-      let k = popcount s in
-      off.(k + 1) <- off.(k + 1) + 1
-    done;
-    for k = 1 to n + 1 do
-      off.(k) <- off.(k) + off.(k - 1)
-    done;
-    let cursor = Array.copy off in
-    let by_layer = Array.make (full + 1) 0 in
-    for s = 0 to full do
-      let k = popcount s in
-      by_layer.(cursor.(k)) <- s;
-      cursor.(k) <- cursor.(k) + 1
-    done;
-    (match pool with
-    | Some pool when Pool.jobs pool > 1 && n >= O.dp_parallel_min_n ->
-        for k = 1 to n do
-          Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun idx ->
-              fill_size by_layer.(idx))
-        done;
-        for k = 2 to n do
-          let layer () =
-            Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun idx ->
-                fill_dp by_layer.(idx))
-          in
-          if Obs.enabled () then Obs.span ("conv.dense.layer." ^ string_of_int k) layer
-          else layer ()
-        done
-    | _ ->
-        for k = 1 to n do
-          for idx = off.(k) to off.(k + 1) - 1 do
-            fill_size by_layer.(idx)
-          done
-        done;
-        for k = 2 to n do
-          let layer () =
-            for idx = off.(k) to off.(k + 1) - 1 do
-              fill_dp by_layer.(idx)
-            done
-          in
-          if Obs.enabled () then Obs.span ("conv.dense.layer." ^ string_of_int k) layer
-          else layer ()
-        done);
-    if not (C.is_finite dp.(full)) then { O.cost = C.infinity; seq = [||] }
-    else begin
-      let seq = Array.make n (-1) in
-      let s = ref full in
-      for pos = n - 1 downto 0 do
-        let j = parent.(!s) in
-        seq.(pos) <- j;
-        s := !s lxor (1 lsl j)
-      done;
-      { O.cost = dp.(full); seq }
-    end
+    { O.cost; seq }
 
   (** Exact optimum over cartesian-product-free join sequences by
       layered tropical subset convolution; cost [C.infinity] (empty

@@ -39,5 +39,22 @@ module type S = sig
   (** Base-2 log of the value, for reporting and rank comparisons:
       [neg_infinity] for zero, [infinity] for {!infinity}. *)
 
+  val key_slack : t -> float
+  (** The error budget of [x] in the exact kernels' certified filter
+      ({!Lattice}). Those kernels estimate every intermediate size and
+      cost by a {e key}: [to_log2] of the input scalars, combined with
+      {!Logreal.mul_log2} / {!Logreal.add_log2}. [key_slack x] must
+      bound [|to_log2 x - log2 x|] plus [x]'s share of the float
+      rounding in the key products and sums that combine it, so that a
+      key built from scalars [x1 .. xk] is within
+      [key_slack x1 + ... + key_slack xk] of the log2 of its exact
+      value. The bound is per scalar, not a function of the final key:
+      a key near 0 can be the sum of huge cancelling terms, whose
+      rounding a bound on the result alone would miss.
+
+      {!Log_cost}'s is [0]: its key {e is} its value (the same floats
+      through the same operations), so the filter's selection is the
+      plain float comparison and nothing is ever re-priced. *)
+
   val pp : Format.formatter -> t -> unit
 end

@@ -1,0 +1,406 @@
+(** The certified key filter shared by the exact subset-lattice kernels:
+    {!Opt.Make.dp} / [dp_no_cartesian], {!Conv.Make.solve}'s dense
+    regime and {!Ccp.Make.dp_connected}'s one-word path.
+
+    Every kernel evaluates the same recurrence
+
+    {v dp(S) = min_{j in S} dp(S \ {j}) + N(S \ {j}) * min_w(j, S \ {j}) v}
+
+    scanning the candidates [j] in ascending bit order and keeping the
+    first strict improvement. This module runs that scan on {e keys}
+    (float estimates of log2 of each value, kept unboxed in
+    [Float.Array]s) and prices a candidate in the exact domain only
+    when its key cannot rule it out.
+
+    {b Keys.} An input scalar [x] (size, selectivity, access cost) keys
+    to [C.to_log2 x]. Keys of [N(S)] and of candidates combine with
+    {!Logreal.mul_log2} / {!Logreal.add_log2} in exactly the operand
+    order of the exact [C.mul] / [C.add] chain.
+
+    {b Slack.} [slack = 2 * E] where [E] is the sum of {!Cost.S.key_slack}
+    over the sizes, the edge selectivities and the widest access cost:
+    by the contract of [key_slack] (error of [to_log2] plus each
+    scalar's share of the rounding; [add_log2] is 1-Lipschitz, so the
+    error of a [min]/[+] chain is at most that of its worst term, which
+    draws on each size and edge selectivity once and on one access cost
+    per step, all covered by [E]) every key is within [E] of the log2
+    of its exact value.
+
+    {b Selection, per subset.} Let [m] be the smallest candidate key and
+    [R] the candidates with key [<= m + slack].
+    - If [|R| = 1] or [slack = 0], the first member of [R] wins and no
+      exact value is built.
+    - Otherwise the members of [R] are priced exactly, in ascending bit
+      order, under the strict-improvement rule.
+
+    {b Why this is exact.} Let [c0] be the candidate whose key is [m].
+    Its exact value is [<= 2^(m + E)]. A candidate [c] outside [R] has
+    key [> m + 2E], so its exact value is [> 2^(m + E)]: strictly worse
+    than [c0], hence strictly worse than the true minimum. It can never
+    be the first candidate attaining the minimum, which is the one the
+    all-exact scan picks, and that candidate is in [R]. So the winner,
+    the parent pointer, and by induction the whole canonical sequence
+    are unchanged. With [slack = 0] ({!Log_cost}: keys are the values)
+    the key scan {e is} the all-exact scan, bit for bit.
+
+    {b Exact values are lazy.} The exact [N(S)] (lowest-bit-first, as
+    the all-exact kernel multiplied it) and [dp(S)] (following
+    [parent]) are built on demand in sparse [Hashtbl] memos, so a run
+    without near-ties builds only the [n - 1] steps of the returned
+    plan's chain.
+
+    The memos are not domain-safe: on a layer-parallel sweep, subsets
+    whose [R] has two or more members are only marked during the
+    parallel key pass and resolved by {!settle}, sequentially, before
+    the next layer starts. *)
+
+let c_exact_candidates = Obs.counter "opt.dp.exact_candidates"
+let c_near_ties = Obs.counter "opt.dp.near_ties"
+
+(* Work threshold for the layer-parallel path of {!Make.dense}. Below it
+   the per-layer fan-out/join overhead exceeds the work it spreads —
+   measured 0.60x sequential at n=16 and 0.96x at n=18 (parallel_dp
+   rows in BENCH_qopt.json) — so small instances run the sequential
+   loop even when a pool is supplied. Results are bit-identical either
+   way; only wall-clock changes. *)
+let par_min_n = 19
+
+module Make (C : Cost.S) = struct
+  module I = Nl.Make (C)
+
+  let lowest_bit m = m land -m
+
+  (* index of a single set bit: trailing-zero count by halving *)
+  let bit_index b =
+    let i = ref 0 and v = ref b in
+    while !v land 1 = 0 do
+      incr i;
+      v := !v lsr 1
+    done;
+    !i
+
+  (** Adjacency as int masks (one word: [n <= 62]). *)
+  let adjacency (inst : I.t) =
+    Array.init (I.n inst) (fun v ->
+        let m = ref 0 in
+        Graphlib.Bitset.iter (fun u -> m := !m lor (1 lsl u)) (Graphlib.Ugraph.neighbors inst.I.graph v);
+        !m)
+
+  type t = {
+    inst : I.t;
+    n : int;
+    adj : int array;
+    slot : int -> int;  (** table slot of a mask, [-1] when absent *)
+    slack : float;
+    tkey : Float.Array.t;  (** size keys *)
+    skey : Float.Array.t;  (** selectivity keys, row-major [n * n] *)
+    wkey : Float.Array.t;  (** access-cost keys, row-major [n * n] *)
+    nkey : Float.Array.t;  (** per slot: key of [N(S)] *)
+    dkey : Float.Array.t;  (** per slot: key of [dp(S)] ([infinity]: none) *)
+    parent : int array;  (** per slot: last vertex of the best sequence *)
+    n_memo : (int, C.t) Hashtbl.t;
+    dp_memo : (int, C.t) Hashtbl.t;
+  }
+
+  (* a subset whose near-tie set awaits {!settle}; its [dkey] holds [m] *)
+  let pending = -2
+
+  let create (inst : I.t) ~adj ~slots ~slot =
+    let n = I.n inst in
+    let keys m = Float.Array.init (n * n) (fun i -> C.to_log2 m.(i / n).(i mod n)) in
+    let err = ref 0.0 and widest_w = ref 0.0 in
+    for i = 0 to n - 1 do
+      err := !err +. C.key_slack inst.I.sizes.(i);
+      for j = 0 to n - 1 do
+        if j <> i then widest_w := Float.max !widest_w (C.key_slack inst.I.w.(i).(j));
+        if j > i && adj.(i) land (1 lsl j) <> 0 then err := !err +. C.key_slack inst.I.sel.(i).(j)
+      done
+    done;
+    let t =
+      {
+        inst;
+        n;
+        adj;
+        slot;
+        slack = 2.0 *. (!err +. !widest_w);
+        tkey = Float.Array.init n (fun i -> C.to_log2 inst.I.sizes.(i));
+        skey = keys inst.I.sel;
+        wkey = keys inst.I.w;
+        nkey = Float.Array.make slots 0.0;
+        dkey = Float.Array.make slots Float.infinity;
+        parent = Array.make slots (-1);
+        n_memo = Hashtbl.create 64;
+        dp_memo = Hashtbl.create 64;
+      }
+    in
+    for v = 0 to n - 1 do
+      let si = slot (1 lsl v) in
+      Float.Array.set t.dkey si (C.to_log2 C.zero);
+      t.parent.(si) <- v
+    done;
+    t
+
+  (* key of N(s) = N(s \ {v}) * t_v * prod_{u in (s \ {v}) adj v} s_vu,
+     v the lowest member, u ascending; N(s \ {v}) from its slot when
+     the table holds it, else (a disconnected tail of a sparse table)
+     recomputed the same way *)
+  let rec size_key t s =
+    if s = 0 then 0.0
+    else begin
+      let b = lowest_bit s in
+      let v = bit_index b in
+      let rest = s lxor b in
+      let ri = if rest = 0 then -1 else t.slot rest in
+      let base = if ri >= 0 then Float.Array.get t.nkey ri else size_key t rest in
+      let acc = ref (Logreal.mul_log2 base (Float.Array.get t.tkey v)) in
+      let common = ref (rest land t.adj.(v)) in
+      while !common <> 0 do
+        let ub = lowest_bit !common in
+        acc := Logreal.mul_log2 !acc (Float.Array.get t.skey ((v * t.n) + bit_index ub));
+        common := !common lxor ub
+      done;
+      !acc
+    end
+
+  (** Key of [N(s)] into slot [si]; [N(s \ lowest)] must be filled. *)
+  let fill_size t s si = Float.Array.set t.nkey si (size_key t s)
+
+  let min_w_key t j s =
+    let best = ref Float.infinity and m = ref s in
+    let row = j * t.n in
+    while !m <> 0 do
+      let b = lowest_bit !m in
+      let c = Float.Array.get t.wkey (row + bit_index b) in
+      if c < !best then best := c;
+      m := !m lxor b
+    done;
+    !best
+
+  (* exact N(s), the all-exact kernel's lowest-bit-first product *)
+  let rec n_exact t s =
+    if s = 0 then C.one
+    else
+      match Hashtbl.find_opt t.n_memo s with
+      | Some v -> v
+      | None ->
+          let b = lowest_bit s in
+          let v = bit_index b in
+          let rest = s lxor b in
+          let acc = ref (C.mul (n_exact t rest) t.inst.I.sizes.(v)) in
+          let common = ref (rest land t.adj.(v)) in
+          let row = t.inst.I.sel.(v) in
+          while !common <> 0 do
+            let ub = lowest_bit !common in
+            acc := C.mul !acc row.(bit_index ub);
+            common := !common lxor ub
+          done;
+          Hashtbl.add t.n_memo s !acc;
+          !acc
+
+  let min_w_exact t j s =
+    let best = ref C.infinity and m = ref s in
+    let row = t.inst.I.w.(j) in
+    while !m <> 0 do
+      let b = lowest_bit !m in
+      let c = row.(bit_index b) in
+      if C.compare c !best < 0 then best := c;
+      m := !m lxor b
+    done;
+    !best
+
+  (* exact dp(s) along [parent] *)
+  let rec dp_exact t s =
+    if s land (s - 1) = 0 then C.zero
+    else
+      match Hashtbl.find_opt t.dp_memo s with
+      | Some v -> v
+      | None ->
+          let j = t.parent.(t.slot s) in
+          let v = exact_cand t j (s lxor (1 lsl j)) in
+          Hashtbl.add t.dp_memo s v;
+          v
+
+  (* exact dp(rest) + N(rest) * min_w(j, rest) *)
+  and exact_cand t j rest = C.add (dp_exact t rest) (C.mul (n_exact t rest) (min_w_exact t j rest))
+
+  (* the same candidate by key; [ri] is the slot of [rest] *)
+  let[@inline] cand_key t j rest ri =
+    Logreal.add_log2 (Float.Array.get t.dkey ri)
+      (Logreal.mul_log2 (Float.Array.get t.nkey ri) (min_w_key t j rest))
+
+  (* price the near-tie set of [s] (keys <= m + slack) exactly, in
+     ascending bit order, first strict improvement wins *)
+  let resolve t ~cartesian s si m =
+    let bound = m +. t.slack in
+    let win = ref (-1) and win_key = ref Float.infinity and win_val = ref C.infinity in
+    let priced = ref 0 in
+    let rem = ref s in
+    while !rem <> 0 do
+      let b = lowest_bit !rem in
+      let j = bit_index b in
+      let rest = s lxor b in
+      if cartesian || rest land t.adj.(j) <> 0 then begin
+        let ri = t.slot rest in
+        if ri >= 0 && Float.Array.get t.dkey ri < Float.infinity then begin
+          let k = cand_key t j rest ri in
+          if k <= bound then begin
+            incr priced;
+            let v = exact_cand t j rest in
+            if C.compare v !win_val < 0 then begin
+              win := j;
+              win_key := k;
+              win_val := v
+            end
+          end
+        end
+      end;
+      rem := !rem lxor b
+    done;
+    Obs.incr c_near_ties;
+    Obs.add c_exact_candidates !priced;
+    Float.Array.set t.dkey si !win_key;
+    t.parent.(si) <- !win;
+    Hashtbl.replace t.dp_memo s !win_val
+
+  (** Select the winner of subset [s] (slot [si], at least two members)
+      by key; returns the number of candidates scanned. A candidate is
+      [j] with [S \ {j}] in the table, finite, and (unless [cartesian])
+      joined to [j] by a predicate. With [defer] a subset that needs
+      exact pricing is left for {!settle}. *)
+  let fill t ~cartesian ~defer s si =
+    let best = ref Float.infinity and second = ref Float.infinity and arg = ref (-1) in
+    let trans = ref 0 in
+    let rem = ref s in
+    while !rem <> 0 do
+      let b = lowest_bit !rem in
+      let j = bit_index b in
+      let rest = s lxor b in
+      if cartesian || rest land t.adj.(j) <> 0 then begin
+        let ri = t.slot rest in
+        if ri >= 0 && Float.Array.get t.dkey ri < Float.infinity then begin
+          incr trans;
+          let k = cand_key t j rest ri in
+          if k < !best then begin
+            second := !best;
+            best := k;
+            arg := j
+          end
+          else if k < !second then second := k
+        end
+      end;
+      rem := !rem lxor b
+    done;
+    if !arg >= 0 && t.slack > 0.0 && !second <= !best +. t.slack then begin
+      if defer then begin
+        Float.Array.set t.dkey si !best;
+        t.parent.(si) <- pending
+      end
+      else resolve t ~cartesian s si !best
+    end
+    else begin
+      Float.Array.set t.dkey si !best;
+      t.parent.(si) <- !arg
+    end;
+    !trans
+
+  (** Resolve [s] if a deferred {!fill} left it pending. Sequential
+      only. *)
+  let settle t ~cartesian s si =
+    if t.parent.(si) = pending then resolve t ~cartesian s si (Float.Array.get t.dkey si)
+
+  (** The exact optimum over [full] and its sequence, or
+      [(C.infinity, [||])] when [full] has no finite value. *)
+  let plan t full =
+    let fi = t.slot full in
+    if fi < 0 || not (Float.Array.get t.dkey fi < Float.infinity) then (C.infinity, [||])
+    else begin
+      let seq = Array.make t.n (-1) in
+      let s = ref full in
+      for pos = t.n - 1 downto 0 do
+        let j = t.parent.(t.slot !s) in
+        seq.(pos) <- j;
+        s := !s lxor (1 lsl j)
+      done;
+      (dp_exact t full, seq)
+    end
+
+  (** Exact sizes [N(S)] built so far. *)
+  let exact_sizes t = Hashtbl.length t.n_memo
+
+  let popcount m =
+    let c = ref 0 and v = ref m in
+    while !v <> 0 do
+      incr c;
+      v := !v land (!v - 1)
+    done;
+    !c
+
+  (** The full lattice over [n] vertices: every mask is its own slot.
+      Pool-parallel by popcount layer (spans [layer_span ^ k]) when
+      [pool] has more than one job and [n >= par_min_n]; otherwise
+      sequential, in popcount layers with the same spans when
+      [layered], else in increasing mask order. [transitions] counts
+      every scanned candidate. *)
+  let dense ?pool ~layered ~layer_span ~transitions ~cartesian (inst : I.t) =
+    let n = I.n inst in
+    let full = (1 lsl n) - 1 in
+    let t = create inst ~adj:(adjacency inst) ~slots:(full + 1) ~slot:Fun.id in
+    let by_layer () =
+      (* counting sort of the masks into popcount layers *)
+      let off = Array.make (n + 2) 0 in
+      for s = 0 to full do
+        let k = popcount s in
+        off.(k + 1) <- off.(k + 1) + 1
+      done;
+      for k = 1 to n + 1 do
+        off.(k) <- off.(k) + off.(k - 1)
+      done;
+      let cursor = Array.copy off in
+      let masks = Array.make (full + 1) 0 in
+      for s = 0 to full do
+        let k = popcount s in
+        masks.(cursor.(k)) <- s;
+        cursor.(k) <- cursor.(k) + 1
+      done;
+      (off, masks)
+    in
+    let spanned k f =
+      (* dynamic name: only pay the concatenation when spans record *)
+      if Obs.enabled () then Obs.span (layer_span ^ string_of_int k) f else f ()
+    in
+    let fill_dp ~defer s = Obs.add transitions (fill t ~cartesian ~defer s s) in
+    (match pool with
+    | Some pool when Pool.jobs pool > 1 && n >= par_min_n ->
+        let off, masks = by_layer () in
+        for k = 1 to n do
+          Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun i ->
+              fill_size t masks.(i) masks.(i))
+        done;
+        for k = 2 to n do
+          spanned k (fun () ->
+              Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun i ->
+                  fill_dp ~defer:true masks.(i));
+              for i = off.(k) to off.(k + 1) - 1 do
+                settle t ~cartesian masks.(i) masks.(i)
+              done)
+        done
+    | _ when layered ->
+        let off, masks = by_layer () in
+        for i = off.(1) to full do
+          fill_size t masks.(i) masks.(i)
+        done;
+        for k = 2 to n do
+          spanned k (fun () ->
+              for i = off.(k) to off.(k + 1) - 1 do
+                fill_dp ~defer:false masks.(i)
+              done)
+        done
+    | _ ->
+        for s = 1 to full do
+          fill_size t s s
+        done;
+        for s = 1 to full do
+          if s land (s - 1) <> 0 then fill_dp ~defer:false s
+        done);
+    plan t full
+end

@@ -17,6 +17,7 @@ let min = Logreal.min
 let max = Logreal.max
 let is_finite t = Logreal.to_log2 t < Float.infinity
 let to_log2 = Logreal.to_log2
+let key_slack _ = 0.0
 let pp = Logreal.pp
 
 (* Extras used when building instances directly in this domain. *)

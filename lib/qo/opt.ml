@@ -14,7 +14,21 @@
     - {!Make.greedy}, {!Make.iterative_improvement},
       {!Make.simulated_annealing}: classical polynomial-time baselines
       whose competitive ratios experiment E9 measures against the
-      hardness prediction. *)
+      hardness prediction.
+
+    {b Exact at float speed.} The DP picks each subset's winner on
+    float keys (log2 estimates) through the certified filter of
+    {!Lattice}, and builds exact values only for near-ties and the
+    returned plan's chain. Every key is within [E] of the log2 of its
+    exact value ([E] from {!Cost.S.key_slack}); with [m] the smallest
+    candidate key, the near-tie set [R] is every candidate with key
+    [<= m + 2E]. A candidate outside [R] has exact value
+    [> 2^(m + E) >=] the exact value of the candidate keyed [m], so it
+    is strictly worse than the true minimum and could never have won
+    the ascending, strict-improvement scan. [R]'s members are priced
+    exactly in that same scan order, so the cost and the canonical
+    sequence are those of the all-exact DP. In the log domain [E = 0]
+    and the keys are the values. *)
 
 (* Shared across every [Make] application (the functor is applied once
    per cost domain in [Instances] and again inside [Ccp.Make]);
@@ -82,23 +96,24 @@ module Make (C : Cost.S) = struct
 
   let max_dp_n = 23
 
-  (* The subset-lattice DP, sequential or layer-parallel.
+  (* The subset-lattice DP, sequential or layer-parallel, through the
+     certified key filter of {!Lattice}: each subset's winner is picked
+     on float keys and only near-ties are priced exactly (the filter's
+     header has the proof that the canonical sequence is unchanged).
 
-     Both paths call the same per-subset transition functions below, so
-     the parallel result is structurally bit-identical to the
-     sequential one: [sizes.(s)] and [dp.(s)] depend only on strict
-     subsets of [s] (one fewer bit), every write goes to its own slot,
-     and the candidate iteration order inside one subset never changes.
-     The sequential loop visits masks in increasing numeric order, the
+     Both paths call the same per-subset selection, so the parallel
+     result is structurally bit-identical to the sequential one: a
+     subset's keys depend only on strict subsets of it (one fewer bit),
+     every write goes to its own slot, the candidate iteration order
+     inside one subset never changes, and near-ties found in a parallel
+     layer are resolved sequentially before the next layer. The
+     sequential loop visits masks in increasing numeric order, the
      parallel one in popcount layers; both respect the dependency
      order. Property-tested against each other in [test/test_qo.ml]. *)
-  (* Work threshold for the layer-parallel path. Below it the per-layer
-     fan-out/join overhead exceeds the work it spreads — measured 0.60x
-     sequential at n=16 and 0.96x at n=18 (parallel_dp rows in
-     BENCH_qopt.json) — so small instances run the sequential loop even
-     when a pool is supplied. Results are bit-identical either way; only
-     wall-clock changes. *)
-  let dp_parallel_min_n = 19
+  (** Smallest [n] the layer-parallel path takes ({!Lattice.par_min_n}). *)
+  let dp_parallel_min_n = Lattice.par_min_n
+
+  module L = Lattice.Make (C)
 
   let dp_generic ?pool ~no_cartesian (inst : I.t) =
     let n = I.n inst in
@@ -109,138 +124,11 @@ module Make (C : Cost.S) = struct
     let full = (1 lsl n) - 1 in
     Obs.incr c_dp_runs;
     Obs.add c_dp_subsets (full + 1);
-    let graph = inst.I.graph in
-    (* adjacency as int masks for speed *)
-    let adj = Array.make n 0 in
-    for v = 0 to n - 1 do
-      Graphlib.Bitset.iter (fun u -> adj.(v) <- adj.(v) lor (1 lsl u)) (Graphlib.Ugraph.neighbors graph v)
-    done;
-    let lowest_bit m = m land -m in
-    (* index of a single set bit: trailing-zero count by halving *)
-    let bit_index b =
-      let i = ref 0 and v = ref b in
-      while !v land 1 = 0 do
-        incr i;
-        v := !v lsr 1
-      done;
-      !i
+    let cost, seq =
+      L.dense ?pool ~layered:false ~layer_span:"opt.dp.layer." ~transitions:c_dp_transitions
+        ~cartesian:(not no_cartesian) inst
     in
-    (* N(S) for every subset *)
-    let sizes = Array.make (full + 1) C.one in
-    let fill_size s =
-      let b = lowest_bit s in
-      let v = bit_index b in
-      let rest = s lxor b in
-      let acc = ref (C.mul sizes.(rest) inst.I.sizes.(v)) in
-      let common = ref (rest land adj.(v)) in
-      let row = inst.I.sel.(v) in
-      while !common <> 0 do
-        let ub = lowest_bit !common in
-        acc := C.mul !acc row.(bit_index ub);
-        common := !common lxor ub
-      done;
-      sizes.(s) <- !acc
-    in
-    (* min_{k in S} w_{j,k} over mask S *)
-    let min_w_mask j s =
-      let best = ref C.infinity in
-      let row = inst.I.w.(j) in
-      let m = ref s in
-      while !m <> 0 do
-        let b = lowest_bit !m in
-        let v = best and c = row.(bit_index b) in
-        if C.compare c !v < 0 then best := c;
-        m := !m lxor b
-      done;
-      !best
-    in
-    let dp = Array.make (full + 1) C.infinity in
-    let parent = Array.make (full + 1) (-1) in
-    for v = 0 to n - 1 do
-      dp.(1 lsl v) <- C.zero;
-      parent.(1 lsl v) <- v
-    done;
-    (* transition for a subset with >= 2 elements *)
-    let fill_dp s =
-      let m = ref s in
-      let trans = ref 0 in
-      while !m <> 0 do
-        let b = lowest_bit !m in
-        let j = bit_index b in
-        let rest = s lxor b in
-        let allowed = (not no_cartesian) || rest land adj.(j) <> 0 in
-        if allowed && C.is_finite dp.(rest) then begin
-          incr trans;
-          let cand = C.add dp.(rest) (C.mul sizes.(rest) (min_w_mask j rest)) in
-          if C.compare cand dp.(s) < 0 then begin
-            dp.(s) <- cand;
-            parent.(s) <- j
-          end
-        end;
-        m := !m lxor b
-      done;
-      Obs.add c_dp_transitions !trans
-    in
-    (match pool with
-    | Some pool when Pool.jobs pool > 1 && n >= dp_parallel_min_n ->
-        (* sort masks by popcount once (counting sort); each layer is
-           embarrassingly parallel given the previous one *)
-        let popcount m =
-          let c = ref 0 and v = ref m in
-          while !v <> 0 do
-            incr c;
-            v := !v land (!v - 1)
-          done;
-          !c
-        in
-        let off = Array.make (n + 2) 0 in
-        for s = 0 to full do
-          let k = popcount s in
-          off.(k + 1) <- off.(k + 1) + 1
-        done;
-        for k = 1 to n + 1 do
-          off.(k) <- off.(k) + off.(k - 1)
-        done;
-        let cursor = Array.copy off in
-        let by_layer = Array.make (full + 1) 0 in
-        for s = 0 to full do
-          let k = popcount s in
-          by_layer.(cursor.(k)) <- s;
-          cursor.(k) <- cursor.(k) + 1
-        done;
-        for k = 1 to n do
-          Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun idx ->
-              fill_size by_layer.(idx))
-        done;
-        for k = 2 to n do
-          let layer () =
-            Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun idx ->
-                fill_dp by_layer.(idx))
-          in
-          (* dynamic name: only pay the sprintf when spans record *)
-          if Obs.enabled () then Obs.span ("opt.dp.layer." ^ string_of_int k) layer
-          else layer ()
-        done
-    | _ ->
-        for s = 1 to full do
-          fill_size s
-        done;
-        for s = 1 to full do
-          (* only consider subsets with >= 2 elements *)
-          if s land (s - 1) <> 0 then fill_dp s
-        done);
-    (* reconstruct *)
-    if not (C.is_finite dp.(full)) then { cost = C.infinity; seq = [||] }
-    else begin
-      let seq = Array.make n (-1) in
-      let s = ref full in
-      for pos = n - 1 downto 0 do
-        let j = parent.(!s) in
-        seq.(pos) <- j;
-        s := !s lxor (1 lsl j)
-      done;
-      { cost = dp.(full); seq }
-    end
+    { cost; seq }
 
   (** Exact optimum by subset DP. With [?pool] (and more than one
       job) the lattice is evaluated popcount-layer by popcount-layer in

@@ -60,6 +60,23 @@ let to_log2 = function
   | Fin q -> Bigq.log2 q
   | Inf -> Float.infinity
 
+(* Error budget of one scalar in the kernels' key filter (see
+   {!Cost.S.key_slack}); u = 2^-53, B = bits num + bits den.
+   - [Bigq.log2] reads the top three limbs of num and den into floats
+     (two roundings, truncation below 2^-62), takes a libm [log]
+     (< 1 ulp) and rescales: within 2e-13 + 2uB of log2 x.
+   - Every key operation rounds once at the magnitude of its result,
+     [add_log2] three times more (its [lo - hi], [pow], [log1p], at
+     most 3u|operand| + 4u). Magnitudes are bounded by the summed B of
+     the scalars combined, and a key passes through at most
+     n + n(n-1)/2 + 2n < 2048 operations for n <= 61, so rounding adds
+     at most 2048 * 3u = 7e-13 per bit of B and 1e-12 in all.
+   1e-11 per bit plus 8 bits of headroom covers both more than ten
+   times over. An infinite scalar keys to [infinity] exactly. *)
+let key_slack = function
+  | Fin q -> 1e-11 *. float_of_int (Bigq.bit_width q + 8)
+  | Inf -> 0.0
+
 let to_bigq_opt = function Fin q -> Some q | Inf -> None
 
 let pp fmt = function

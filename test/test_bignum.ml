@@ -261,6 +261,99 @@ let prop_num_bits =
       Bignat.compare x (Bignat.pow Bignat.two k) < 0
       && Bignat.compare x (Bignat.pow Bignat.two (k - 1)) >= 0)
 
+(* ---- Bigq against a plain reference on multi-limb operands ---- *)
+
+(* Euclid on Bignat.rem only: the reference the native-int gcd
+   finish must agree with *)
+let rec euclid a b = if Bignat.is_zero b then a else euclid b (Bignat.rem a b)
+
+(* magnitudes: zero, small, single-limb, 30- and 200-digit *)
+let gen_mag =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, return "0");
+        (2, map string_of_int (int_range 1 9));
+        (3, map string_of_int (int_range 1 ((1 lsl 31) - 1)));
+        (3, string_size ~gen:numeral (return 30));
+        (1, string_size ~gen:numeral (return 200));
+      ]
+    |> map Bignat.of_string)
+
+let gen_den =
+  QCheck2.Gen.(
+    frequency [ (2, return Bignat.one); (5, gen_mag) ]
+    |> map (fun d -> if Bignat.is_zero d then Bignat.one else d))
+
+(* reference normalization: explicit Euclid, explicit division *)
+let ref_normalize n d =
+  if Bigint.is_zero n then (Bigint.zero, Bignat.one)
+  else begin
+    let mag = Option.get (Bigint.to_nat_opt (Bigint.abs n)) in
+    let g = euclid mag d in
+    let m = Bigint.of_nat (Bignat.div mag g) in
+    ((if Bigint.sign n < 0 then Bigint.neg m else m), Bignat.div d g)
+  end
+
+let gen_q =
+  QCheck2.Gen.(
+    map
+      (fun ((neg, m), d) ->
+        let n = Bigint.of_nat m in
+        let n, d = ref_normalize (if neg then Bigint.neg n else n) d in
+        Bigq.make n (Bigint.of_nat d))
+      (pair (pair bool gen_mag) gen_den))
+
+let print_q = Bigq.to_string
+
+(* the invariant every result must satisfy: den > 0, gcd(|num|, den) = 1,
+   zero is 0/1 *)
+let normalized q =
+  let n = Bigq.num q and d = Bigq.den q in
+  (not (Bignat.is_zero d))
+  &&
+  if Bigint.is_zero n then Bignat.equal d Bignat.one
+  else Bignat.equal (euclid (Option.get (Bigint.to_nat_opt (Bigint.abs n))) d) Bignat.one
+
+let matches q (n, d) = normalized q && Bigint.equal (Bigq.num q) n && Bignat.equal (Bigq.den q) d
+let nd q = (Bigq.num q, Bigint.of_nat (Bigq.den q))
+
+let ref_add a b =
+  let an, ad = nd a and bn, bd = nd b in
+  ref_normalize (Bigint.add (Bigint.mul an bd) (Bigint.mul bn ad))
+    (Option.get (Bigint.to_nat_opt (Bigint.mul ad bd)))
+
+let ref_mul a b =
+  let an, ad = nd a and bn, bd = nd b in
+  ref_normalize (Bigint.mul an bn) (Option.get (Bigint.to_nat_opt (Bigint.mul ad bd)))
+
+let ref_div a b =
+  let an, ad = nd a and bn, bd = nd b in
+  let n = Bigint.mul an bd and d = Bigint.mul ad bn in
+  let n = if Bigint.sign d < 0 then Bigint.neg n else n in
+  ref_normalize n (Option.get (Bigint.to_nat_opt (Bigint.abs d)))
+
+let ref_compare a b =
+  let an, ad = nd a and bn, bd = nd b in
+  Bigint.compare (Bigint.mul an bd) (Bigint.mul bn ad)
+
+let prop_bigq_vs_reference =
+  QCheck2.Test.make ~name:"bigq add/sub/mul/div/compare = cross-multiply + normalize" ~count:500
+    ~print:(fun (a, b) -> print_q a ^ " , " ^ print_q b)
+    QCheck2.Gen.(pair gen_q gen_q)
+    (fun (a, b) ->
+      matches (Bigq.add a b) (ref_add a b)
+      && matches (Bigq.sub a b) (ref_add a (Bigq.neg b))
+      && matches (Bigq.mul a b) (ref_mul a b)
+      && (Bigq.is_zero b || matches (Bigq.div a b) (ref_div a b))
+      && Int.compare (Bigq.compare a b) 0 = Int.compare (ref_compare a b) 0
+      && Bigq.compare a a = 0)
+
+let prop_gcd_vs_euclid =
+  QCheck2.Test.make ~name:"gcd = plain Euclid on multi-limb operands" ~count:500
+    QCheck2.Gen.(pair gen_mag gen_mag)
+    (fun (a, b) -> Bignat.equal (Bignat.gcd a b) (euclid a b))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -279,6 +372,8 @@ let qsuite =
       prop_bigint_divmod;
       prop_bigq_field;
       prop_bigq_pow;
+      prop_bigq_vs_reference;
+      prop_gcd_vs_euclid;
     ]
 
 let () =

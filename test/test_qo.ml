@@ -781,6 +781,231 @@ let prop_ii_valid_and_bounded =
       && RC.equal p.OR_.cost (NR.cost inst p.OR_.seq)
       && RC.compare (OR_.dp inst).OR_.cost p.OR_.cost <= 0)
 
+(* ------------- certified key filter ≡ all-exact lattice ------------- *)
+
+(* The lattice DP with every candidate priced in the exact domain:
+   lowest-bit-first sizes, ascending candidate scan, first strict
+   improvement. The reference the key-filtered kernels must match bit
+   for bit, in both domains. *)
+module Exact_ref (C : Qo.Cost.S) = struct
+  module I = Qo.Nl.Make (C)
+
+  let dp ~no_cartesian (inst : I.t) =
+    let n = I.n inst and has = Graphlib.Ugraph.has_edge inst.I.graph in
+    let full = (1 lsl n) - 1 in
+    let bits s = List.filter (fun v -> s land (1 lsl v) <> 0) (List.init n Fun.id) in
+    let sizes = Array.make (full + 1) C.one in
+    let dp = Array.make (full + 1) C.infinity and parent = Array.make (full + 1) (-1) in
+    for s = 1 to full do
+      let v = List.hd (bits s) in
+      let rest = s lxor (1 lsl v) in
+      sizes.(s) <-
+        List.fold_left
+          (fun acc u -> if has v u then C.mul acc inst.I.sel.(v).(u) else acc)
+          (C.mul sizes.(rest) inst.I.sizes.(v))
+          (bits rest);
+      if rest = 0 then begin
+        dp.(s) <- C.zero;
+        parent.(s) <- v
+      end
+      else
+        List.iter
+          (fun j ->
+            let rest = s lxor (1 lsl j) in
+            if ((not no_cartesian) || List.exists (has j) (bits rest)) && C.is_finite dp.(rest)
+            then begin
+              let w =
+                List.fold_left
+                  (fun b k -> if C.compare inst.I.w.(j).(k) b < 0 then inst.I.w.(j).(k) else b)
+                  C.infinity (bits rest)
+              in
+              let cand = C.add dp.(rest) (C.mul sizes.(rest) w) in
+              if C.compare cand dp.(s) < 0 then begin
+                dp.(s) <- cand;
+                parent.(s) <- j
+              end
+            end)
+          (bits s)
+    done;
+    if not (C.is_finite dp.(full)) then (C.infinity, [||])
+    else begin
+      let seq = Array.make n (-1) and s = ref full in
+      for pos = n - 1 downto 0 do
+        seq.(pos) <- parent.(!s);
+        s := !s lxor (1 lsl parent.(!s))
+      done;
+      (dp.(full), seq)
+    end
+end
+
+module Ref_rat = Exact_ref (Qo.Rat_cost)
+module Ref_log = Exact_ref (Qo.Log_cost)
+
+(* dp, dp_no_cartesian, conv and ccp against the reference, cost AND
+   sequence, in the rational domain and (via [log_of_rat]) the log
+   domain *)
+let filter_agrees inst =
+  let li = Qo.Instances.log_of_rat inst in
+  let r_all = Ref_rat.dp ~no_cartesian:false inst and r_cf = Ref_rat.dp ~no_cartesian:true inst in
+  let l_all = Ref_log.dp ~no_cartesian:false li and l_cf = Ref_log.dp ~no_cartesian:true li in
+  let rat (p : OR_.plan) (c, s) = RC.equal p.OR_.cost c && p.OR_.seq = s in
+  let log (p : OL.plan) (c, s) = Qo.Log_cost.equal p.OL.cost c && p.OL.seq = s in
+  rat (OR_.dp inst) r_all
+  && rat (OR_.dp_no_cartesian inst) r_cf
+  && rat (CVR.solve inst) r_cf
+  && rat (CCPR.dp_connected inst) r_cf
+  && log (OL.dp li) l_all
+  && log (OL.dp_no_cartesian li) l_cf
+  && log (CVL.solve li) l_cf
+  && log (CCPL.dp_connected li) l_cf
+
+let gen_shape_instance =
+  QCheck2.Gen.(
+    let* n = int_range 2 10 in
+    let* seed = int_range 0 10_000 in
+    let* shape = int_bound 5 in
+    let module G = Qo.Gen_inst.R in
+    return
+      (match shape with
+      | 0 -> G.random ~seed ~n ~p:0.5 ()
+      | 1 -> G.chain ~seed ~n ()
+      | 2 -> G.star ~seed ~satellites:(n - 1) ()
+      | 3 -> G.clique ~seed ~n ()
+      | 4 -> G.tree_plus ~seed ~n ~extra:2 ()
+      | _ -> G.random ~seed ~n ~p:0.7 ~max_size:3 ~max_inv_sel:2 ()))
+
+(* f_N-style uniform instances: every size, selectivity and access cost
+   equal, so nearly every subset's candidates tie exactly *)
+let gen_tie_instance =
+  QCheck2.Gen.(
+    let* n = int_range 2 10 in
+    let* seed = int_range 0 10_000 in
+    let* p = float_range 0.3 1.0 in
+    let* t = int_range 2 64 in
+    let* inv_s = int_range 1 8 in
+    let* w = int_range 1 64 in
+    let size = RC.of_int t and edge_sel = RC.of_ints 1 inv_s in
+    let edge_w = RC.min size (RC.max (RC.mul size edge_sel) (RC.of_int w)) in
+    return (NR.uniform ~graph:(Graphlib.Gen.gnp ~seed ~n ~p) ~size ~edge_sel ~edge_w))
+
+(* a positive rational with up to [digits]-digit numerator and
+   denominator *)
+let big_rat st digits =
+  let num () =
+    Bignum.Bigint.of_string
+      (String.init (1 + Random.State.int st digits) (fun i ->
+           Char.chr (Char.code '0' + if i = 0 then 1 + Random.State.int st 9 else Random.State.int st 10)))
+  in
+  Bignum.Bigq.make (num ()) (num ())
+
+(* corpus-style extreme scalars: 30-digit sizes, selectivities and
+   access costs anywhere in [t s, t] *)
+let extreme_instance ~seed ~n =
+  let st = Random.State.make [| seed; 30 |] in
+  let g = Graphlib.Gen.gnp ~seed ~n ~p:0.6 in
+  let q x = RC.of_bigq x in
+  let sizes = Array.init n (fun _ -> q (big_rat st 30)) in
+  let sel = Array.make_matrix n n RC.one and w = Array.make_matrix n n RC.zero in
+  List.iter
+    (fun (i, j) ->
+      let a = big_rat st 30 and b = big_rat st 30 in
+      let s = q (Bignum.Bigq.div (Bignum.Bigq.min a b) (Bignum.Bigq.max a b)) in
+      sel.(i).(j) <- s;
+      sel.(j).(i) <- s)
+    (Graphlib.Ugraph.edges g);
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then
+        if Graphlib.Ugraph.has_edge g i j then begin
+          let lo = RC.mul sizes.(i) sel.(i).(j) and a = big_rat st 30 and b = big_rat st 30 in
+          let frac = q (Bignum.Bigq.div (Bignum.Bigq.min a b) (Bignum.Bigq.max a b)) in
+          w.(i).(j) <- RC.add lo (RC.mul frac (RC.sub sizes.(i) lo))
+        end
+        else w.(i).(j) <- sizes.(i)
+    done
+  done;
+  NR.make ~graph:g ~sel ~sizes ~w
+
+let gen_extreme_instance =
+  QCheck2.Gen.(
+    let* n = int_range 2 6 in
+    let* seed = int_range 0 10_000 in
+    return (extreme_instance ~seed ~n))
+
+let prop_filter_shapes =
+  QCheck2.Test.make ~name:"filtered dp/dp_nc/conv/ccp ≡ all-exact reference (shapes, n ≤ 10)"
+    ~count:60 gen_shape_instance filter_agrees
+
+let prop_filter_ties =
+  QCheck2.Test.make ~name:"filtered kernels ≡ all-exact reference (uniform f_N-style ties)"
+    ~count:60 gen_tie_instance filter_agrees
+
+let prop_filter_extreme =
+  QCheck2.Test.make ~name:"filtered kernels ≡ all-exact reference (30-digit rationals)"
+    ~count:30 gen_extreme_instance filter_agrees
+
+(* log2 of a positive rational from its top 60 bits: exact exponent,
+   mantissa in [1, 2), so only two roundings of the final sum *)
+let ref_log2 q =
+  let nat_log2 x =
+    let b = Bignum.Bignat.num_bits x in
+    let shift = Stdlib.max 0 (b - 60) in
+    let top = Bignum.Bignat.to_int_exn (Bignum.Bignat.shift_right x shift) in
+    let e = Bignum.Bignat.num_bits (Bignum.Bignat.of_int top) - 1 in
+    float_of_int (shift + e) +. Float.log2 (Float.ldexp (float_of_int top) (-e))
+  in
+  let num = Option.get (Bignum.Bigint.to_nat_opt (Bignum.Bigq.num q)) in
+  nat_log2 num -. nat_log2 (Bignum.Bigq.den q)
+
+(* the exact binary value of a float, as a rational *)
+let bigq_of_float f =
+  let m, e = Float.frexp f in
+  let mant = Bignum.Bigq.of_int (Int64.to_int (Int64.of_float (Float.ldexp m 53))) in
+  let two_pow k = Bignum.Bigq.pow (Bignum.Bigq.of_int 2) k in
+  Bignum.Bigq.mul mant (two_pow (e - 53))
+
+let key_within_slack q =
+  let x = RC.of_bigq q in
+  Float.abs (RC.to_log2 x -. ref_log2 q) <= RC.key_slack x
+
+let test_key_slack_band_edges () =
+  (* the edges of the %.17g bands: extremes of the float range, the
+     first integers floats cannot hold, and the neighbours of 1 *)
+  let floats =
+    [ Float.max_float; Float.min_float; 4.9406564584124654e-324; 9007199254740992.;
+      9007199254740994.; 0.1; 0.30000000000000004; Float.pred 1.0; Float.succ 1.0; 1e300; 1e-300 ]
+  in
+  List.iter
+    (fun f ->
+      let q = bigq_of_float f in
+      Alcotest.(check bool) (Printf.sprintf "%.17g key within slack" f) true (key_within_slack q);
+      let inv = Bignum.Bigq.inv q in
+      Alcotest.(check bool) (Printf.sprintf "1/%.17g key within slack" f) true (key_within_slack inv))
+    floats;
+  Alcotest.(check (float 0.0)) "log domain: no slack" 0.0 (Qo.Log_cost.key_slack (Qo.Log_cost.of_int 3))
+
+let prop_key_slack_extreme =
+  QCheck2.Test.make ~name:"|to_log2 - log2| <= key_slack on 30-digit rationals" ~count:300
+    QCheck2.Gen.int (fun seed -> key_within_slack (big_rat (Random.State.make [| seed |]) 30))
+
+(* at the layer-parallel threshold: on a uniform rat chain every
+   interval's two cartesian-free candidates tie exactly, so every subset
+   of the optimal plan is a near-tie resolved in the sequential settle
+   pass after a parallel layer; the plan must not move *)
+let test_filter_parallel_threshold () =
+  let n = OR_.dp_parallel_min_n in
+  let inst =
+    NR.uniform ~graph:(Graphlib.Gen.path n) ~size:(RC.of_int 64) ~edge_sel:(RC.of_ints 1 4)
+      ~edge_w:(RC.of_int 16)
+  in
+  let ties () = Option.value ~default:0 (List.assoc_opt "opt.dp.near_ties" (Obs.snapshot ())) in
+  let before = ties () in
+  let s = OR_.dp_no_cartesian inst in
+  let p = Pool.with_pool ~jobs:2 (fun pool -> OR_.dp_no_cartesian ~pool inst) in
+  Alcotest.(check bool) "near-ties were resolved" true (ties () > before);
+  Alcotest.(check rc) "cost" s.OR_.cost p.OR_.cost;
+  Alcotest.(check (array int)) "sequence" s.OR_.seq p.OR_.seq
+
 let () =
   Alcotest.run "qo"
     [
@@ -848,6 +1073,14 @@ let () =
               prop_conv_gnp;
               prop_conv_parallel_equiv;
             ] );
+      ( "certified filter",
+        [
+          Alcotest.test_case "key slack at %.17g band edges" `Quick test_key_slack_band_edges;
+          Alcotest.test_case "rat dp_no_cartesian at the parallel threshold" `Quick
+            test_filter_parallel_threshold;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_filter_shapes; prop_filter_ties; prop_filter_extreme; prop_key_slack_extreme ] );
       ( "io",
         [
           Alcotest.test_case "parse errors" `Quick test_io_errors;
