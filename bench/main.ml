@@ -441,26 +441,26 @@ let serve_workload_check () =
       1
     end
   in
+  let t = st.Serve.totals in
   let mismatches =
-    expect "requests" st.Serve.requests 120
-    + expect "ok" st.Serve.ok 95
-    + expect "errors" st.Serve.errors 15
-    + expect "rejected" st.Serve.rejected 10
-    + expect "cache hits" st.Serve.cache_hits 70
-    + expect "cache misses" st.Serve.cache_misses 25
+    expect "requests" t.requests 120
+    + expect "ok" t.ok 95
+    + expect "errors" t.errors 15
+    + expect "rejected" t.rejected 10
+    + expect "cache hits" t.cache_hits 70
+    + expect "cache misses" t.cache_misses 25
     + (if byte_identical then 0
        else begin
          Printf.printf "  MISMATCH served dp plan line differs from direct render\n";
          1
        end)
   in
-  let throughput = float_of_int st.Serve.requests /. seconds in
+  let throughput = float_of_int t.requests /. seconds in
   Printf.printf
     "  %d requests in %.3fs (%.0f req/s): %d ok, %d error, %d rejected; cache %d/%d \
      (%.0f%% hit rate); byte-identical %s\n"
-    st.Serve.requests seconds throughput st.Serve.ok st.Serve.errors st.Serve.rejected
-    st.Serve.cache_hits
-    (st.Serve.cache_hits + st.Serve.cache_misses)
+    t.requests seconds throughput t.ok t.errors t.rejected t.cache_hits
+    (t.cache_hits + t.cache_misses)
     (100. *. Serve.hit_rate st)
     (if byte_identical then "yes" else "NO");
   (mismatches, st, seconds, throughput, byte_identical)
@@ -537,24 +537,12 @@ let serve_concurrent_check ~requests ~jobs_list =
       Serve.default_config with
       Serve.cache_capacity = 1024;
       batch_size = 32;
-      (* keep the exact per-request latencies so the histogram
-         quantiles can be checked against ground truth below *)
-      record_exact_latencies = true;
     }
   in
   let run jobs =
     Obs.time (fun () ->
         if jobs <= 1 then Serve.serve_string ~config input
         else Pool.with_pool ~jobs (fun pool -> Serve.serve_string ~pool ~config input))
-  in
-  let stats_key (st : Serve.stats) =
-    ( st.Serve.requests,
-      st.Serve.ok,
-      st.Serve.errors,
-      st.Serve.rejected,
-      st.Serve.cache_hits,
-      st.Serve.cache_misses,
-      st.Serve.fallbacks )
   in
   (* A control block is valid when its header reports status=ok and its
      body is one line of schema-versioned JSON; the #stats snapshot must
@@ -591,34 +579,8 @@ let serve_concurrent_check ~requests ~jobs_list =
     && List.for_all (fun (h, body) -> header_ok h && json_ok body) controls
     && List.exists stats_has_progress controls
   in
-  (* exact nearest-rank percentile over the recorded per-request
-     latencies — the ground truth the histogram quantile must land
-     within one bucket width of *)
-  let exact_percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else
-      let rank = int_of_float (Float.round (q /. 100. *. float_of_int (n - 1))) in
-      sorted.(Stdlib.max 0 (Stdlib.min (n - 1) rank))
-  in
-  let hist_vs_exact (st : Serve.stats) =
-    let sorted = Array.of_list st.Serve.exact_latencies_ms in
-    Array.sort compare sorted;
-    List.map
-      (fun q ->
-        let hist_ms = Serve.latency_percentile st q in
-        let exact_ms = exact_percentile sorted q in
-        (* one bucket width at the exact value, in ms, plus 1ns of
-           slack for the float->int truncation when recording *)
-        let width_ms =
-          float_of_int (Obs.Histogram.width_at (int_of_float (exact_ms *. 1e6))) /. 1e6
-        in
-        let within = Float.abs (hist_ms -. exact_ms) <= width_ms +. 1e-6 in
-        (q, hist_ms, exact_ms, width_ms, within))
-      [ 50.; 95.; 99. ]
-  in
-  Printf.printf "%6s %10s %12s %9s %9s %9s %9s %14s %8s %9s\n" "jobs" "seconds" "req/s"
-    "speedup" "p50 ms" "p95 ms" "p99 ms" "byte-identical" "ctl-ok" "hist-ok";
+  Printf.printf "%6s %10s %12s %9s %9s %9s %9s %14s %8s\n" "jobs" "seconds" "req/s"
+    "speedup" "p50 ms" "p95 ms" "p99 ms" "byte-identical" "ctl-ok";
   let mismatches = ref 0 in
   let base = ref None in
   let rows =
@@ -634,7 +596,7 @@ let serve_concurrent_check ~requests ~jobs_list =
           | Some b -> b
         in
         let identical =
-          String.equal plain base_plain && stats_key st = stats_key base_st
+          String.equal plain base_plain && Trace.stats_key st = Trace.stats_key base_st
         in
         if not identical then begin
           incr mismatches;
@@ -646,29 +608,17 @@ let serve_concurrent_check ~requests ~jobs_list =
           Printf.printf "  MISMATCH jobs=%d invalid control responses (%d block(s))\n" jobs
             (List.length controls)
         end;
-        let hve = hist_vs_exact st in
-        List.iter
-          (fun (q, hist_ms, exact_ms, width_ms, within) ->
-            if not within then begin
-              incr mismatches;
-              Printf.printf
-                "  MISMATCH jobs=%d p%g histogram %.6fms vs exact %.6fms (width %.6fms)\n"
-                jobs q hist_ms exact_ms width_ms
-            end)
-          hve;
-        let hist_ok = List.for_all (fun (_, _, _, _, w) -> w) hve in
-        let throughput = float_of_int st.Serve.requests /. seconds in
+        let throughput = float_of_int st.Serve.totals.requests /. seconds in
         let p50 = Serve.latency_percentile st 50.
         and p95 = Serve.latency_percentile st 95.
         and p99 = Serve.latency_percentile st 99. in
-        Printf.printf "%6d %10.3f %12.0f %8.2fx %9.3f %9.3f %9.3f %14s %8s %9s\n" jobs
+        Printf.printf "%6d %10.3f %12.0f %8.2fx %9.3f %9.3f %9.3f %14s %8s\n" jobs
           seconds throughput
           (if seconds > 0.0 then base_s /. seconds else Float.nan)
           p50 p95 p99
           (if identical then "yes" else "NO")
-          (if control_ok then "yes" else "NO")
-          (if hist_ok then "yes" else "NO");
-        (jobs, st, seconds, throughput, p50, p95, p99, identical, control_ok, hve))
+          (if control_ok then "yes" else "NO");
+        (jobs, st, seconds, throughput, p50, p95, p99, identical, control_ok))
       jobs_list
   in
   (!mismatches, config, rows)
@@ -687,101 +637,19 @@ let serve_concurrent_json ~requests ~(config : Serve.config) rows =
       ( "rows",
         Arr
           (List.map
-             (fun (jobs, st, seconds, throughput, p50, p95, p99, identical, control_ok, hve) ->
+             (fun (jobs, st, seconds, throughput, p50, p95, p99, identical, control_ok) ->
                Obj
-                 [
-                   ("jobs", Int jobs);
-                   ("requests", Int st.Serve.requests);
-                   ("ok", Int st.Serve.ok);
-                   ("errors", Int st.Serve.errors);
-                   ("rejected", Int st.Serve.rejected);
-                   ("cache_hits", Int st.Serve.cache_hits);
-                   ("cache_misses", Int st.Serve.cache_misses);
-                   ("fallbacks", Int st.Serve.fallbacks);
-                   ("seconds", Float seconds);
-                   ("requests_per_s", Float throughput);
-                   ("p50_ms", Float p50);
-                   ("p95_ms", Float p95);
-                   ("p99_ms", Float p99);
-                   ("byte_identical_to_sequential", Bool identical);
-                   ("control_ok", Bool control_ok);
-                   ( "hist_vs_exact",
-                     Arr
-                       (List.map
-                          (fun (q, hist_ms, exact_ms, width_ms, within) ->
-                            Obj
-                              [
-                                ("q", Float q);
-                                ("hist_ms", Float hist_ms);
-                                ("exact_ms", Float exact_ms);
-                                ("width_ms", Float width_ms);
-                                ("within", Bool within);
-                              ])
-                          hve) );
-                 ])
+                 ((("jobs", Int jobs) :: Serve.count_fields st)
+                 @ [
+                     ("seconds", Float seconds);
+                     ("requests_per_s", Float throughput);
+                     ("p50_ms", Float p50);
+                     ("p95_ms", Float p95);
+                     ("p99_ms", Float p99);
+                     ("byte_identical_to_sequential", Bool identical);
+                     ("control_ok", Bool control_ok);
+                   ]))
              rows) );
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Latency-store before/after: serve used to keep every request latency
-   in a sorted float list, re-sorted on every batch merge — O(total^2
-   log) comparisons over a run and O(requests) memory. The histogram
-   replacement is O(1) per record and O(buckets) memory regardless of
-   sample count. The old strategy is emulated here verbatim (append a
-   32-element batch, re-sort) on a reduced sample count because running
-   it at 100k would dominate the whole bench; rates are per-sample so
-   the two sides stay comparable. *)
-
-let latency_store_check () =
-  let hist_samples = 100_000 and old_samples = 20_000 and batch = 32 in
-  let sample i =
-    float_of_int (((i * 7919) mod 9973) + (i mod 97) * 1000) /. 100.
-  in
-  Printf.printf "\n== serve latency store: sorted-list merge vs log-bucket histogram ==\n";
-  let h = Obs.Histogram.create () in
-  let (), hist_s =
-    Obs.time (fun () ->
-        for i = 0 to hist_samples - 1 do
-          Obs.Histogram.record h (int_of_float (sample i *. 1e6))
-        done)
-  in
-  let store = ref [] in
-  let (), old_s =
-    Obs.time (fun () ->
-        let pending = ref [] and n_pending = ref 0 in
-        let flush () =
-          store := List.sort compare (List.rev_append !pending !store);
-          pending := [];
-          n_pending := 0
-        in
-        for i = 0 to old_samples - 1 do
-          pending := sample i :: !pending;
-          incr n_pending;
-          if !n_pending >= batch then flush ()
-        done;
-        flush ())
-  in
-  let per_s n s = if s > 0.0 then float_of_int n /. s else Float.nan in
-  let hist_rate = per_s hist_samples hist_s and old_rate = per_s old_samples old_s in
-  Printf.printf "  %-28s %9d samples %10.4fs %14.0f samples/s\n" "histogram (new)"
-    hist_samples hist_s hist_rate;
-  Printf.printf "  %-28s %9d samples %10.4fs %14.0f samples/s\n"
-    "sorted-list merge (old)" old_samples old_s old_rate;
-  Printf.printf "  speedup %.1fx; memory: %d buckets (fixed) vs %d stored floats (grows)\n"
-    (if old_rate > 0.0 then hist_rate /. old_rate else Float.nan)
-    Obs.Histogram.bucket_count (List.length !store);
-  let open Obs.Json in
-  Obj
-    [
-      ("hist_samples", Int hist_samples);
-      ("hist_seconds", Float hist_s);
-      ("hist_samples_per_s", Float hist_rate);
-      ("old_samples", Int old_samples);
-      ("old_seconds", Float old_s);
-      ("old_samples_per_s", Float old_rate);
-      ("speedup", Float (if old_rate > 0.0 then hist_rate /. old_rate else Float.nan));
-      ("hist_buckets", Int Obs.Histogram.bucket_count);
-      ("old_store_entries", Int (List.length !store));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -827,12 +695,13 @@ let trace_skew_check () =
         let p = { Trace.default_params with Trace.requests = 20_000; seed = 21; skew } in
         let t = Trace.generate p in
         let _out, st, seconds = Trace.replay ~probe_every:1000 t in
+        let tot = st.Serve.totals in
         Printf.printf
           "  skew %.1f: %5d hits / %5d misses (%.4f hit rate), %d coalesced, %d \
            evicted, %d resident, %.2fs (%.0f req/s)\n"
-          skew st.Serve.cache_hits st.Serve.cache_misses (Serve.hit_rate st)
-          st.Serve.coalesced st.Serve.evictions st.Serve.cache_entries seconds
-          (float_of_int st.Serve.requests /. seconds);
+          skew tot.cache_hits tot.cache_misses (Serve.hit_rate st) tot.coalesced
+          tot.evictions st.Serve.cache_entries seconds
+          (float_of_int tot.requests /. seconds);
         (skew, st, seconds))
       [ 0.2; 0.8; 1.4 ]
   in
@@ -856,19 +725,10 @@ let trace_json rows =
     (List.map
        (fun (skew, st, seconds) ->
          Obj
-           [
-             ("skew", Float skew);
-             ("requests", Int st.Serve.requests);
-             ("cache_hits", Int st.Serve.cache_hits);
-             ("cache_misses", Int st.Serve.cache_misses);
-             ("coalesced", Int st.Serve.coalesced);
-             ("evictions", Int st.Serve.evictions);
-             ("cache_entries", Int st.Serve.cache_entries);
-             ("cache_hit_rate", Float (Serve.hit_rate st));
-             ("errors", Int st.Serve.errors);
-             ("fallbacks", Int st.Serve.fallbacks);
+           ((("skew", Float skew) :: Serve.count_fields st)
+           @ [
              ("seconds", Float seconds);
-             ("requests_per_s", Float (float_of_int st.Serve.requests /. seconds));
+             ("requests_per_s", Float (float_of_int st.Serve.totals.requests /. seconds));
              ( "latency_ms",
                Obj
                  [
@@ -876,7 +736,7 @@ let trace_json rows =
                    ("p95", Float (Serve.latency_percentile st 95.));
                    ("p99", Float (Serve.latency_percentile st 99.));
                  ] );
-           ])
+           ]))
        rows)
 
 (* Competitive ratios on the f_N hard family, driven by the solver
@@ -896,7 +756,7 @@ let competitive_ratio_check () =
           List.iter
             (fun (e : Solver.entry) ->
               if e.Solver.exact = None then
-                match e.Solver.solve_log with
+                match Solver.Log.solve e with
                 | None -> ()
                 | Some solve ->
                     let bits = Logreal.to_log2 (solve inst).OL.cost -. opt_bits in
@@ -960,7 +820,7 @@ let conv_json (vs_rows, beyond_rows) =
     ]
 
 let write_report ~jobs ~elapsed ~runs ~total ~fails ~dp_rows ~vs_rows ~beyond_rows ~kernels
-    ~conv_rows ~serve_row ~serve_conc ~latency_store ~fuzz_row ~competitive ~trace_rows =
+    ~conv_rows ~serve_row ~serve_conc ~fuzz_row ~competitive ~trace_rows =
   let open Obs.Json in
   let speedup num den = if den > 0.0 then num /. den else Float.nan in
   let report =
@@ -1048,24 +908,16 @@ let write_report ~jobs ~elapsed ~runs ~total ~fails ~dp_rows ~vs_rows ~beyond_ro
         ( "serve",
           (let st, seconds, throughput, byte_identical = serve_row in
            Obj
-             [
-               ("requests", Int st.Serve.requests);
-               ("ok", Int st.Serve.ok);
-               ("errors", Int st.Serve.errors);
-               ("rejected", Int st.Serve.rejected);
-               ("cache_hits", Int st.Serve.cache_hits);
-               ("cache_misses", Int st.Serve.cache_misses);
-               ("cache_hit_rate", Float (Serve.hit_rate st));
-               ("fallbacks", Int st.Serve.fallbacks);
-               ("seconds", Float seconds);
-               ("requests_per_s", Float throughput);
-               ("byte_identical_to_oneshot", Bool byte_identical);
-             ]) );
+             (Serve.count_fields st
+             @ [
+                 ("seconds", Float seconds);
+                 ("requests_per_s", Float throughput);
+                 ("byte_identical_to_oneshot", Bool byte_identical);
+               ])) );
         ( "serve_concurrent",
           (let requests, config, rows = serve_conc in
            serve_concurrent_json ~requests ~config rows) );
         ("trace", trace_json trace_rows);
-        ("latency_store", latency_store);
         ( "fuzz",
           (let r, seconds, throughput = fuzz_row in
            Obj
@@ -1096,7 +948,6 @@ let serve_concurrent_smoke ~requests =
   let mismatches, config, rows =
     serve_concurrent_check ~requests ~jobs_list:[ 1; 2 ]
   in
-  let latency_store = latency_store_check () in
   let open Obs.Json in
   let report =
     Obj
@@ -1104,7 +955,6 @@ let serve_concurrent_smoke ~requests =
         ("schema_version", Int 1);
         ("kind", Str "qopt-serve-concurrent-smoke");
         ("serve_concurrent", serve_concurrent_json ~requests ~config rows);
-        ("latency_store", latency_store);
       ]
   in
   write_file "serve-concurrent-smoke.json" report;
@@ -1187,7 +1037,6 @@ let () =
   let conc_mismatches, conc_config, conc_rows =
     serve_concurrent_check ~requests:conc_requests ~jobs_list:[ 1; 2; 4 ]
   in
-  let latency_store_row = latency_store_check () in
   let trace_violations, trace_rows = trace_skew_check () in
   let fuzz_fails, fuzz_r, fuzz_s, fuzz_tput = fuzz_campaign_check ~jobs:(Stdlib.max jobs 2) in
   let competitive = competitive_ratio_check () in
@@ -1197,7 +1046,6 @@ let () =
     ~conv_rows:(conv_vs_rows, conv_beyond_rows)
     ~serve_row:(serve_st, serve_s, serve_tput, serve_ident)
     ~serve_conc:(conc_requests, conc_config, conc_rows)
-    ~latency_store:latency_store_row
     ~fuzz_row:(fuzz_r, fuzz_s, fuzz_tput)
     ~competitive ~trace_rows;
   if

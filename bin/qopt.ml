@@ -56,29 +56,32 @@ let algo_term =
   in
   Arg.(value & opt algo_conv "dp" & info [ "algo" ] ~docv:"ALGO" ~doc)
 
-(* The featured-solver step of the optimize portfolio: preamble, then
-   either the solve (plan line via [show], i.e. [Serve.render_plan]) or
-   a one-line skip when the instance exceeds the entry's interactive
-   cap or cost domain. Byte-identical to the pre-registry hand-written
-   dispatch for every pre-registry algo name. *)
+(* The optimize portfolio, written once over the cost domain: the
+   featured solver's preamble, then either its solve or a one-line skip
+   when the instance exceeds the entry's interactive cap or cost domain,
+   then the four heuristics. Plan lines go through Serve.render_plan —
+   serve responses must be byte-identical to this output. *)
 let skip_line label reason = Printf.printf "%-22s skipped: %s\n" label reason
 
-let featured_rat (e : Solver.entry) ~jobs ~show inst =
-  (match e.Solver.preamble_rat with Some f -> print_string (f inst) | None -> ());
-  match e.Solver.interactive_cap with
-  | Some cap when Qo.Instances.Nl_rat.n inst > cap ->
-      skip_line e.Solver.label
-        (Printf.sprintf "n > %d (try --algo %s)" cap (Solver.hint e))
-  | _ -> with_jobs jobs (fun pool -> show e.Solver.label (e.Solver.solve_rat ?pool inst))
+module Portfolio (D : Solver.DOMAIN) = struct
+  let show label (p : D.O.plan) =
+    print_endline (Serve.render_plan ~label ~log2_cost:(D.to_log2 p.D.O.cost) ~seq:p.D.O.seq)
 
-let featured_log (e : Solver.entry) ~jobs ~show inst =
-  (match e.Solver.preamble_log with Some f -> print_string (f inst) | None -> ());
-  match (e.Solver.solve_log, e.Solver.interactive_cap) with
-  | None, _ -> skip_line e.Solver.label "rational domain only"
-  | Some _, Some cap when Qo.Instances.Nl_log.n inst > cap ->
-      skip_line e.Solver.label
-        (Printf.sprintf "n > %d (try --algo %s)" cap (Solver.hint e))
-  | Some solve, _ -> with_jobs jobs (fun pool -> show e.Solver.label (solve ?pool inst))
+  let run (e : Solver.entry) ~jobs inst =
+    (match D.preamble e with Some f -> print_string (f inst) | None -> ());
+    (match (D.solve e, e.Solver.interactive_cap) with
+    | None, _ -> skip_line e.Solver.label "rational domain only"
+    | Some _, Some cap when D.I.n inst > cap ->
+        skip_line e.Solver.label (Printf.sprintf "n > %d (try --algo %s)" cap (Solver.hint e))
+    | Some solve, _ -> with_jobs jobs (fun pool -> show e.Solver.label (solve ?pool inst)));
+    show "greedy (min cost)" (D.O.greedy ~mode:D.O.Min_cost inst);
+    show "greedy (min size)" (D.O.greedy ~mode:D.O.Min_size inst);
+    show "iterative improve" (D.O.iterative_improvement inst);
+    show "simulated anneal" (D.O.simulated_annealing inst)
+end
+
+module Portfolio_rat = Portfolio (Solver.Rat)
+module Portfolio_log = Portfolio (Solver.Log)
 
 (* ---------------- observability flags ---------------- *)
 
@@ -265,9 +268,6 @@ let optimize_cmd =
     Arg.(value & opt (Arg.enum [ ("rat", `Rat); ("log", `Log) ]) `Rat
          & info [ "domain" ] ~docv:"DOMAIN" ~doc)
   in
-  (* The whole portfolio on a loaded instance, both cost domains. Plan
-     lines go through Serve.render_plan — the serve responses must be
-     byte-identical to this output. *)
   let portfolio_file path domain algo jobs =
     let load loader =
       try loader path
@@ -277,30 +277,8 @@ let optimize_cmd =
     in
     let e = algo_of algo in
     match domain with
-    | `Rat ->
-        let module O = Qo.Instances.Opt_rat in
-        let inst = load Qo.Io.load_rat in
-        let show label (p : O.plan) =
-          print_endline
-            (Serve.render_plan ~label ~log2_cost:(Qo.Rat_cost.to_log2 p.O.cost) ~seq:p.O.seq)
-        in
-        featured_rat e ~jobs ~show inst;
-        show "greedy (min cost)" (O.greedy ~mode:O.Min_cost inst);
-        show "greedy (min size)" (O.greedy ~mode:O.Min_size inst);
-        show "iterative improve" (O.iterative_improvement inst);
-        show "simulated anneal" (O.simulated_annealing inst)
-    | `Log ->
-        let module O = Qo.Instances.Opt_log in
-        let inst = load Qo.Io.load_log in
-        let show label (p : O.plan) =
-          print_endline
-            (Serve.render_plan ~label ~log2_cost:(Logreal.to_log2 p.O.cost) ~seq:p.O.seq)
-        in
-        featured_log e ~jobs ~show inst;
-        show "greedy (min cost)" (O.greedy ~mode:O.Min_cost inst);
-        show "greedy (min size)" (O.greedy ~mode:O.Min_size inst);
-        show "iterative improve" (O.iterative_improvement inst);
-        show "simulated anneal" (O.simulated_annealing inst)
+    | `Rat -> Portfolio_rat.run e ~jobs (load Qo.Io.load_rat)
+    | `Log -> Portfolio_log.run e ~jobs (load Qo.Io.load_log)
   in
   let run n omega log2a shape seed file domain algo jobs stats trace =
     let jobs = resolve_jobs jobs in
@@ -311,8 +289,6 @@ let optimize_cmd =
         finish_obs stats trace;
         0
     | None ->
-    let module OL = Qo.Instances.Opt_log in
-    let module CCP = Qo.Instances.Ccp_log in
     let inst =
       match shape with
       | `Cocluster ->
@@ -344,15 +320,7 @@ let optimize_cmd =
             (Graphlib.Ugraph.edge_count inst.Qo.Instances.Nl_log.graph);
           inst
     in
-    let show name (p : OL.plan) =
-      print_endline
-        (Serve.render_plan ~label:name ~log2_cost:(Logreal.to_log2 p.OL.cost) ~seq:p.OL.seq)
-    in
-    featured_log (algo_of algo) ~jobs ~show inst;
-    show "greedy (min cost)" (OL.greedy ~mode:OL.Min_cost inst);
-    show "greedy (min size)" (OL.greedy ~mode:OL.Min_size inst);
-    show "iterative improve" (OL.iterative_improvement inst);
-    show "simulated anneal" (OL.simulated_annealing inst);
+    Portfolio_log.run (algo_of algo) ~jobs inst;
     finish_obs stats trace;
     0
   in
@@ -533,11 +501,12 @@ let fuzz_cmd =
   let corpus =
     Arg.(
       value
-      & opt string "fuzz/corpus"
+      & opt (some string) None
       & info [ "corpus" ] ~docv:"DIR"
           ~doc:
-            "Corpus directory feeding the mutation generator (silently skipped when the \
-             directory does not exist).")
+            "Corpus directory feeding the mutation generator. Defaults to fuzz/corpus, \
+             skipped when that does not exist; a directory given here must exist. The \
+             summary and the report name the directory and its case count.")
   in
   let out =
     Arg.(
@@ -588,7 +557,18 @@ let fuzz_cmd =
     if !failed > 0 then 1 else 0
   in
   let campaign runs seed corpus out jobs report oracle_names =
-    let corpus_cases = Array.of_list (List.map snd (Fuzz.load_corpus corpus)) in
+    (* the same seed draws a different case stream without the corpus,
+       so a named corpus that is not there is an error *)
+    let corpus_dir =
+      match corpus with
+      | None -> "fuzz/corpus"
+      | Some dir when Sys.file_exists dir && Sys.is_directory dir -> dir
+      | Some dir ->
+          Printf.eprintf "qopt: corpus directory %S does not exist\n" dir;
+          exit 2
+    in
+    let corpus_cases = Array.of_list (List.map snd (Fuzz.load_corpus corpus_dir)) in
+    let corpus_info = (corpus_dir, Array.length corpus_cases) in
     let only = match oracle_names with [] -> None | names -> Some names in
     let result =
       try
@@ -607,6 +587,7 @@ let fuzz_cmd =
         Printf.printf "  %-20s pass=%-5d skip=%-5d fail=%d\n" name p s f)
       result.Fuzz.per_oracle;
     List.iter (fun (k, v) -> Printf.printf "  mix %-8s %d\n" k v) result.Fuzz.mix;
+    Printf.printf "  corpus %s: %d case(s)\n" corpus_dir (Array.length corpus_cases);
     List.iter
       (fun f ->
         let path = Fuzz.save_reproducer ~dir:out f in
@@ -618,7 +599,8 @@ let fuzz_cmd =
       result.Fuzz.failures;
     Printf.eprintf "fuzz: %d runs in %.2fs\n" result.Fuzz.runs result.Fuzz.seconds;
     (match report with
-    | Some path -> Obs.Json.write_file path (Fuzz.report_json ~jobs ~seed result)
+    | Some path ->
+        Obs.Json.write_file path (Fuzz.report_json ~jobs ~seed ~corpus:corpus_info result)
     | None -> ());
     if result.Fuzz.fails > 0 then 1 else 0
   in

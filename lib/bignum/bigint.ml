@@ -28,7 +28,6 @@ let magnitude t = t.mag
 let abs t = { t with sg = Stdlib.abs t.sg }
 let neg t = { t with sg = -t.sg }
 let is_zero t = t.sg = 0
-let to_float t = float_of_int t.sg *. Bignat.to_float t.mag
 
 let compare a b =
   if a.sg <> b.sg then Stdlib.compare a.sg b.sg

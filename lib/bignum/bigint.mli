@@ -14,7 +14,6 @@ val to_nat_opt : t -> Bignat.t option
 val to_int_opt : t -> int option
 val of_string : string -> t
 val to_string : t -> string
-val to_float : t -> float
 
 val sign : t -> int
 (** -1, 0, or 1. *)

@@ -109,7 +109,6 @@ let compare a b =
 let equal a b = Bigint.equal a.n b.n && Bignat.equal a.d b.d
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
-let to_float t = Bigint.to_float t.n /. Bignat.to_float t.d
 
 let log2 t =
   match Bigint.sign t.n with

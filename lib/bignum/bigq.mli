@@ -25,7 +25,6 @@ val of_string : string -> t
 (** Accepts ["a"], ["a/b"], and ["-a/b"]. *)
 
 val to_string : t -> string
-val to_float : t -> float
 
 val log2 : t -> float
 (** Base-2 log of a positive rational; [nan] for negatives,

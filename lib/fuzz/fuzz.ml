@@ -26,15 +26,13 @@ let c_shrink_steps = Obs.counter "fuzz.shrink_steps"
 (* ------------------------------------------------------------------ *)
 (* Per-domain machinery *)
 
+(* The registry's cost domain plus the comparison tolerance and the
+   mutation helpers the oracles, the mutator and the shrinker need. *)
 module type DOMAIN = sig
-  module C : Qo.Cost.S
-
-  val name : string
+  include Solver.DOMAIN
 
   (* float domain: compare costs up to tolerance instead of exactly *)
   val approx : bool
-  val dump : Qo.Nl.Make(C).t -> string
-  val parse : string -> Qo.Nl.Make(C).t
   val half_toward_one : C.t -> C.t
 
   (* toward 0, staying in (0, 1] / toward 1 *)
@@ -45,9 +43,9 @@ end
 
 module Checks (D : DOMAIN) = struct
   module C = D.C
-  module I = Qo.Nl.Make (D.C)
-  module O = Qo.Opt.Make (D.C)
-  module P = Qo.Ccp.Make (D.C)
+  module I = D.I
+  module O = D.O
+  module P = D.Ccp
   module K = Qo.Ik.Make (D.C)
   module V = Qo.Conv.Make (D.C)
 
@@ -424,16 +422,19 @@ module Checks (D : DOMAIN) = struct
       match bad with None -> Pass | Some m -> Fail m
     end
 
+  (* One serve request carrying [inst] in this domain. *)
+  let request (inst : I.t) id algo =
+    let payload = D.dump inst in
+    let payload =
+      if payload <> "" && payload.[String.length payload - 1] = '\n' then payload
+      else payload ^ "\n"
+    in
+    Printf.sprintf "request id=%s algo=%s domain=%s\n%send\n" id algo D.name payload
+
   let oneshot_vs_served (inst : I.t) =
     if inst.I.n > exact_cap then Skip "n > exact cap"
     else begin
-      let payload = D.dump inst in
-      let payload =
-        if payload <> "" && payload.[String.length payload - 1] = '\n' then payload
-        else payload ^ "\n"
-      in
-      let input = Printf.sprintf "request id=fz algo=dp domain=%s\n%send\n" D.name payload in
-      let out, _stats = Serve.serve_string input in
+      let out, _stats = Serve.serve_string (request inst "fz" "dp") in
       match String.split_on_char '\n' out with
       | header :: plan :: _
         when String.length header >= 24
@@ -455,27 +456,17 @@ module Checks (D : DOMAIN) = struct
   let served_seq_vs_par (inst : I.t) =
     if inst.I.n > exact_cap then Skip "n > exact cap"
     else begin
-      let payload = D.dump inst in
-      let payload =
-        if payload <> "" && payload.[String.length payload - 1] = '\n' then payload
-        else payload ^ "\n"
-      in
-      let req id algo =
-        Printf.sprintf "request id=%s algo=%s domain=%s\n%send\n" id algo D.name payload
-      in
+      let req = request inst in
       let input = req "a" "dp" ^ req "b" "dp" ^ "junk\n" ^ req "c" "greedy" in
       let seq_out, seq_st = Serve.serve_string input in
       let par_out, par_st =
         Pool.with_pool ~jobs:2 (fun pool -> Serve.serve_string ~pool input)
       in
-      let key (st : Serve.stats) =
-        (st.requests, st.ok, st.errors, st.cache_hits, st.cache_misses, st.fallbacks)
-      in
       if seq_out <> par_out then
         Fail
           (Printf.sprintf "concurrent serve output differs from sequential: %S <> %S"
              par_out seq_out)
-      else if key par_st <> key seq_st then
+      else if Trace.stats_key par_st <> Trace.stats_key seq_st then
         Fail "concurrent serve stats differ from sequential"
       else Pass
     end
@@ -488,14 +479,7 @@ module Checks (D : DOMAIN) = struct
   let served_control (inst : I.t) =
     if inst.I.n > exact_cap then Skip "n > exact cap"
     else begin
-      let payload = D.dump inst in
-      let payload =
-        if payload <> "" && payload.[String.length payload - 1] = '\n' then payload
-        else payload ^ "\n"
-      in
-      let req id algo =
-        Printf.sprintf "request id=%s algo=%s domain=%s\n%send\n" id algo D.name payload
-      in
+      let req = request inst in
       let plain_in = req "a" "dp" ^ req "b" "dp" ^ "junk\n" ^ req "c" "greedy" in
       let ctl_in =
         "#stats\n" ^ req "a" "dp" ^ "#hist latency\n" ^ req "b" "dp" ^ "junk\n"
@@ -504,9 +488,6 @@ module Checks (D : DOMAIN) = struct
       let plain_out, plain_st = Serve.serve_string plain_in in
       let ctl_out, ctl_st = Serve.serve_string ctl_in in
       let stripped, ctls = Serve.split_control ctl_out in
-      let key (st : Serve.stats) =
-        (st.requests, st.ok, st.errors, st.cache_hits, st.cache_misses, st.fallbacks)
-      in
       let ok_header h =
         match String.split_on_char ' ' h with
         | "control" :: _ :: "status=ok" :: _ -> true
@@ -530,21 +511,53 @@ module Checks (D : DOMAIN) = struct
         Fail
           (Printf.sprintf "non-control bytes perturbed by controls: %S <> %S" stripped
              plain_out)
-      else if key ctl_st <> key plain_st then
+      else if Trace.stats_key ctl_st <> Trace.stats_key plain_st then
         Fail "stats perturbed by control requests"
       else if List.length ctls <> 4 then
         Fail (Printf.sprintf "expected 4 control blocks, got %d" (List.length ctls))
       else match bad_ctl with Some m -> Fail m | None -> Pass
     end
+
+  (* This domain's half of a registry entry's generated oracle. An exact
+     entry must be bit-identical (cost AND sequence) to its dp
+     reference ([O.dp] for [Unconstrained], [O.dp_no_cartesian] for
+     [Cartesian_free]); a heuristic must realize its claimed cost with
+     its own sequence and never beat the optimum. *)
+  let registry_check (e : Solver.entry) (inst : I.t) =
+    match D.solve e with
+    | None -> Skip "rational-domain oracle"
+    | Some _ when inst.I.n > Stdlib.min exact_cap e.Solver.diff_cap ->
+        Skip "n > registry diff cap"
+    | Some solve -> (
+        let a = solve inst in
+        let name = e.Solver.name in
+        match e.Solver.exact with
+        | Some ex ->
+            let r =
+              match ex with
+              | Solver.Unconstrained -> O.dp inst
+              | Solver.Cartesian_free -> O.dp_no_cartesian inst
+            in
+            if not (C.equal a.O.cost r.O.cost) then
+              Fail (Printf.sprintf "%s %s <> dp %s" name (show a.O.cost) (show r.O.cost))
+            else if a.O.seq <> r.O.seq then
+              Fail (Printf.sprintf "%s / dp sequences differ" name)
+            else Pass
+        | None ->
+            let opt = O.dp inst in
+            if not (eq (I.cost inst a.O.seq) a.O.cost) then
+              Fail (Printf.sprintf "%s sequence does not realize its claimed cost" name)
+            else if not (ge a.O.cost opt.O.cost) then
+              Fail
+                (Printf.sprintf "%s %s beats the optimum %s" name (show a.O.cost)
+                   (show opt.O.cost))
+            else Pass)
 end
 
 module Dom_rat = struct
-  module C = Qo.Rat_cost
+  include Solver.Rat
 
-  let name = "rat"
   let approx = false
-  let dump = Qo.Io.dump_rat
-  let parse = Qo.Io.parse_rat
   let half_toward_one x = C.div (C.add x C.one) (C.of_int 2)
   let sel_sharpen s = C.div s (C.of_int 2)
   let sel_soften s = C.min C.one (C.mul s (C.of_int 2))
@@ -552,12 +565,9 @@ module Dom_rat = struct
 end
 
 module Dom_log = struct
-  module C = Qo.Log_cost
+  include Solver.Log
 
-  let name = "log"
   let approx = true
-  let dump = Qo.Io.dump_log
-  let parse = Qo.Io.parse_log
   let half_toward_one x = C.of_log2 (C.to_log2 x /. 2.)
   let sel_sharpen s = C.of_log2 (2. *. C.to_log2 s)
   let sel_soften s = C.of_log2 (C.to_log2 s /. 2.)
@@ -611,112 +621,19 @@ let handwritten_oracles =
 
 (* Auto-generated from the solver registry: every entrant beyond the
    seed portfolio (already covered by the handwritten oracles above)
-   gets an oracle for free. An exact entrant must be bit-identical —
-   cost AND sequence — to the dp reference ([Opt.dp] for
-   [Unconstrained] exactness, [Opt.dp_no_cartesian] for
-   [Cartesian_free]) up to the entry's diff cap, in every cost domain
-   it supports; a heuristic entrant must realize its claimed cost with
-   its own sequence and never beat the optimum. *)
+   gets an oracle for free, written once per domain by
+   [Checks.registry_check]: [<name>-vs-dp] for an exact entrant,
+   [<name>-bound] for a heuristic. A domain the entry does not support
+   skips. *)
 let seed_portfolio = [ "dp"; "ccp"; "conv"; "greedy"; "sa" ]
 
-let registry_oracles =
-  let module NR = Qo.Instances.Nl_rat in
-  let module OR = Qo.Instances.Opt_rat in
-  let module NL = Qo.Instances.Nl_log in
-  let module OL = Qo.Instances.Opt_log in
-  let l2r = Qo.Rat_cost.to_log2 and l2l = Qo.Log_cost.to_log2 in
-  let tol = 1e-6 in
-  List.filter_map
-    (fun (e : Solver.entry) ->
-      if List.mem e.Solver.name seed_portfolio then None
-      else
-        let cap = Stdlib.min exact_cap e.Solver.diff_cap in
-        match e.Solver.exact with
-        | Some ex ->
-            let check_rat (i : NR.t) =
-              if i.NR.n > cap then Skip "n > registry diff cap"
-              else
-                let a = e.Solver.solve_rat i in
-                let r =
-                  match ex with
-                  | Solver.Unconstrained -> OR.dp i
-                  | Solver.Cartesian_free -> OR.dp_no_cartesian i
-                in
-                if not (Qo.Rat_cost.equal a.OR.cost r.OR.cost) then
-                  Fail
-                    (Printf.sprintf "%s 2^%.6g <> dp 2^%.6g" e.Solver.name
-                       (l2r a.OR.cost) (l2r r.OR.cost))
-                else if a.OR.seq <> r.OR.seq then
-                  Fail (Printf.sprintf "%s / dp sequences differ" e.Solver.name)
-                else Pass
-            in
-            let check_log (i : NL.t) =
-              match e.Solver.solve_log with
-              | None -> Skip "rational-domain oracle"
-              | Some solve ->
-                  if i.NL.n > cap then Skip "n > registry diff cap"
-                  else
-                    let a = solve i in
-                    let r =
-                      match ex with
-                      | Solver.Unconstrained -> OL.dp i
-                      | Solver.Cartesian_free -> OL.dp_no_cartesian i
-                    in
-                    if not (Qo.Log_cost.equal a.OL.cost r.OL.cost) then
-                      Fail
-                        (Printf.sprintf "%s 2^%.6g <> dp 2^%.6g" e.Solver.name
-                           (l2l a.OL.cost) (l2l r.OL.cost))
-                    else if a.OL.seq <> r.OL.seq then
-                      Fail (Printf.sprintf "%s / dp sequences differ" e.Solver.name)
-                    else Pass
-            in
-            Some
-              {
-                name = e.Solver.name ^ "-vs-dp";
-                check = (function Rat i -> check_rat i | Log i -> check_log i);
-              }
-        | None ->
-            let check_rat (i : NR.t) =
-              if i.NR.n > cap then Skip "n > registry diff cap"
-              else
-                let module I = Qo.Instances.Nl_rat in
-                let a = e.Solver.solve_rat i in
-                let opt = OR.dp i in
-                if not (Qo.Rat_cost.equal (I.cost i a.OR.seq) a.OR.cost) then
-                  Fail
-                    (Printf.sprintf "%s sequence does not realize its claimed cost"
-                       e.Solver.name)
-                else if Qo.Rat_cost.compare a.OR.cost opt.OR.cost < 0 then
-                  Fail
-                    (Printf.sprintf "%s 2^%.6g beats the optimum 2^%.6g" e.Solver.name
-                       (l2r a.OR.cost) (l2r opt.OR.cost))
-                else Pass
-            in
-            let check_log (i : NL.t) =
-              match e.Solver.solve_log with
-              | None -> Skip "rational-domain oracle"
-              | Some solve ->
-                  if i.NL.n > cap then Skip "n > registry diff cap"
-                  else
-                    let module I = Qo.Instances.Nl_log in
-                    let a = solve i in
-                    let opt = OL.dp i in
-                    if Float.abs (l2l (I.cost i a.OL.seq) -. l2l a.OL.cost) > tol then
-                      Fail
-                        (Printf.sprintf "%s sequence does not realize its claimed cost"
-                           e.Solver.name)
-                    else if l2l opt.OL.cost -. l2l a.OL.cost > tol then
-                      Fail
-                        (Printf.sprintf "%s 2^%.6g beats the optimum 2^%.6g"
-                           e.Solver.name (l2l a.OL.cost) (l2l opt.OL.cost))
-                    else Pass
-            in
-            Some
-              {
-                name = e.Solver.name ^ "-bound";
-                check = (function Rat i -> check_rat i | Log i -> check_log i);
-              })
-    Solver.all
+let registry_oracle (e : Solver.entry) =
+  if List.mem e.Solver.name seed_portfolio then None
+  else
+    let suffix = if e.Solver.exact = None then "-bound" else "-vs-dp" in
+    Some (per_domain (e.Solver.name ^ suffix) (CR.registry_check e) (CL.registry_check e))
+
+let registry_oracles = List.filter_map registry_oracle Solver.all
 
 (* The trace oracles' generator seed, a hash of the case's dump. *)
 let trace_seed c =
@@ -1126,7 +1043,7 @@ let save_reproducer ~dir f =
   save_case ~comments path f.shrunk;
   path
 
-let report_json ~jobs ~seed r =
+let report_json ~jobs ~seed ~corpus:(dir, cases) r =
   let open Obs.Json in
   let totals =
     Obj
@@ -1170,6 +1087,7 @@ let report_json ~jobs ~seed r =
       [
         ("jobs", Int jobs);
         ("seed", Int seed);
+        ("corpus", Obj [ ("dir", Str dir); ("cases", Int cases) ]);
         ("totals", totals);
         ("per_oracle", per_oracle);
         ("generator_mix", mix);

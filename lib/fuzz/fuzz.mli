@@ -20,6 +20,15 @@
       re-checking the failing oracle at every step, then emits the
       smallest reproducer as a [qon 1] file with a replay command.
 
+    The per-domain machinery — every single-domain oracle, the
+    registry-generated ones included ({!registry_oracle}), the mutator
+    and the shrinker's candidate moves — is written once, in a functor
+    over {!Solver.DOMAIN} plus the mutation helpers, and applied to
+    {!Solver.Rat} and {!Solver.Log}; an oracle hands each {!case} to
+    the half for its domain. Only [rat-vs-log] and the generators
+    ([build_rat] / [build_log], whose per-domain seeds fix the case
+    stream) look at both domains.
+
     Campaigns are deterministic per [(seed, runs)] — results are
     independent of [--jobs] because instance [k] is generated from
     [Random.State.make [| seed; k; ... |]] and checked in slot [k] of
@@ -70,6 +79,16 @@ val oracles : oracle list
     [front-map-blind] (the same replay with a unique trailing comment
     on every payload, {!Trace.with_nonces}, so serve's front map never
     hits, must give the same non-control bytes and masked report). *)
+
+val registry_oracle : Solver.entry -> oracle option
+(** The oracle {!oracles} generates for a registry entry: for an exact
+    entry, [<name>-vs-dp], bit-identity (cost and sequence) with its dp
+    reference; for a heuristic, [<name>-bound], its sequence realizes
+    its claimed cost and never beats the optimum. Both run up to the
+    entry's diff cap, in every domain the entry supports ({!Solver.DOMAIN}'s
+    [solve]); a domain it does not support skips with
+    ["rational-domain oracle"]. [None] for the seed portfolio
+    ([dp ccp conv greedy sa]), which the handwritten oracles cover. *)
 
 val oracle : name:string -> (case -> outcome) -> oracle
 (** Build a custom oracle — the registry extension point, also how
@@ -168,7 +187,9 @@ val save_reproducer : dir:string -> failure -> string
     oracle, message, provenance and a replay command. Returns the
     path. *)
 
-val report_json : jobs:int -> seed:int -> result -> Obs.Json.t
+val report_json : jobs:int -> seed:int -> corpus:string * int -> result -> Obs.Json.t
 (** Schema-versioned campaign report ([kind = "qopt-fuzz-report"]) on
-    the {!Obs.run_report} envelope: totals, per-oracle rows, generator
-    mix, and one entry per failure (with reproducer provenance). *)
+    the {!Obs.run_report} envelope: the corpus as
+    [{"dir": ..., "cases": ...}] (from [~corpus:(dir, cases)]), totals,
+    per-oracle rows, generator mix, and one entry per failure (with
+    reproducer provenance). *)

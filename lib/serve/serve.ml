@@ -39,7 +39,7 @@ exception Shutdown
 
 type domain = Rat | Log
 
-let domain_name = function Rat -> "rat" | Log -> "log"
+let domain_name = function Rat -> Solver.Rat.name | Log -> Solver.Log.name
 
 type config = {
   cache_capacity : int;
@@ -48,7 +48,6 @@ type config = {
   batch_size : int;
   rat_transition_ns : float;
   log_transition_ns : float;
-  record_exact_latencies : bool;
 }
 
 let default_config =
@@ -59,7 +58,6 @@ let default_config =
     batch_size = 1;
     rat_transition_ns = 100.;
     log_transition_ns = 10.;
-    record_exact_latencies = false;
   }
 
 (* Per-stage latency series (integer nanoseconds). Each pipeline stage
@@ -75,7 +73,10 @@ type stage_hists = {
   h_commit : Obs.Histogram.t;
 }
 
-type stats = {
+(* The request counts. Each batch fills a fresh [totals] of its own and
+   folds it into the session's under one lock ([add_totals]); the Obs
+   counters are driven from the same batch record ([obs_totals]). *)
+type totals = {
   mutable requests : int;
   mutable ok : int;
   mutable errors : int;
@@ -83,17 +84,20 @@ type stats = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable coalesced : int;
-  mutable cache_entries : int;
   mutable evictions : int;
   mutable fallbacks : int;
+}
+
+type stats = {
+  totals : totals;
+  mutable cache_entries : int;
   mutable seconds : float;
   mutable interrupted : bool;
   latency : Obs.Histogram.t;
   stages : stage_hists;
-  mutable exact_latencies_ms : float list;
 }
 
-let fresh_stats () =
+let fresh_totals () =
   {
     requests = 0;
     ok = 0;
@@ -102,9 +106,25 @@ let fresh_stats () =
     cache_hits = 0;
     cache_misses = 0;
     coalesced = 0;
-    cache_entries = 0;
     evictions = 0;
     fallbacks = 0;
+  }
+
+let add_totals (dst : totals) (t : totals) =
+  dst.requests <- dst.requests + t.requests;
+  dst.ok <- dst.ok + t.ok;
+  dst.errors <- dst.errors + t.errors;
+  dst.rejected <- dst.rejected + t.rejected;
+  dst.cache_hits <- dst.cache_hits + t.cache_hits;
+  dst.cache_misses <- dst.cache_misses + t.cache_misses;
+  dst.coalesced <- dst.coalesced + t.coalesced;
+  dst.evictions <- dst.evictions + t.evictions;
+  dst.fallbacks <- dst.fallbacks + t.fallbacks
+
+let fresh_stats () =
+  {
+    totals = fresh_totals ();
+    cache_entries = 0;
     seconds = 0.;
     interrupted = false;
     latency = Obs.Histogram.create ();
@@ -116,7 +136,6 @@ let fresh_stats () =
         h_solve = Obs.Histogram.create ();
         h_commit = Obs.Histogram.create ();
       };
-    exact_latencies_ms = [];
   }
 
 let latency_series st =
@@ -130,8 +149,9 @@ let latency_series st =
   ]
 
 let hit_rate st =
-  let lookups = st.cache_hits + st.cache_misses in
-  if lookups = 0 then 0. else float_of_int st.cache_hits /. float_of_int lookups
+  let t = st.totals in
+  let lookups = t.cache_hits + t.cache_misses in
+  if lookups = 0 then 0. else float_of_int t.cache_hits /. float_of_int lookups
 
 type io = {
   next_line : unit -> string option;
@@ -141,15 +161,22 @@ type io = {
 
 (* ---------------- observability ---------------- *)
 
-let c_requests = Obs.counter "serve.requests"
-let c_ok = Obs.counter "serve.responses.ok"
-let c_err = Obs.counter "serve.responses.error"
-let c_rejected = Obs.counter "serve.admission.rejected"
-let c_hits = Obs.counter "serve.cache.hits"
-let c_misses = Obs.counter "serve.cache.misses"
-let c_evictions = Obs.counter "serve.cache.evictions"
-let c_coalesced = Obs.counter "serve.cache.coalesced"
-let c_fallbacks = Obs.counter "serve.fallbacks"
+(* The process-global mirror of [totals]: one (counter, field) pair
+   each. [serve.responses.error] counts every error response,
+   admission rejections included. *)
+let obs_totals =
+  [
+    (Obs.counter "serve.requests", fun t -> t.requests);
+    (Obs.counter "serve.responses.ok", fun t -> t.ok);
+    (Obs.counter "serve.responses.error", fun t -> t.errors + t.rejected);
+    (Obs.counter "serve.admission.rejected", fun t -> t.rejected);
+    (Obs.counter "serve.cache.hits", fun t -> t.cache_hits);
+    (Obs.counter "serve.cache.misses", fun t -> t.cache_misses);
+    (Obs.counter "serve.cache.evictions", fun t -> t.evictions);
+    (Obs.counter "serve.cache.coalesced", fun t -> t.coalesced);
+    (Obs.counter "serve.fallbacks", fun t -> t.fallbacks);
+  ]
+
 let c_queue_full = Obs.counter "serve.queue.full"
 let c_control = Obs.counter "serve.control.requests"
 let g_entries = Obs.gauge "serve.cache.entries"
@@ -513,13 +540,15 @@ let parse_header ~default_id toks =
           Ok { rq_id = !id; rq_algo = a; rq_domain = !domain; rq_budget_ms = !budget })
   | _ -> Error "expected a \"request ...\" header"
 
-(* ---------------- per-domain engines ----------------
+(* ---------------- per-domain engine ----------------
 
    Rational and log instances flow through the same serving logic via
    a record of closures built right after the parse — cheaper to read
-   than threading a first-class module through every call site. Solves
-   are always sequential within a request: with --jobs the parallelism
-   is across requests (the worker pool), not inside the DP. *)
+   than threading a first-class module through every call site. The
+   record is built by one functor over the cost domain, applied once
+   per domain below. Solves are always sequential within a request:
+   with --jobs the parallelism is across requests (the worker pool),
+   not inside the DP. *)
 
 type solved = { log2_cost : float; seq : int array }
 
@@ -531,60 +560,37 @@ type engine = {
   e_fallback : unit -> string * solved;
 }
 
-let rat_engine payload =
-  let module N = Qo.Instances.Nl_rat in
-  let module O = Qo.Instances.Opt_rat in
-  let module CCP = Qo.Instances.Ccp_rat in
-  let inst = Qo.Io.parse_rat payload in
-  let solved (p : O.plan) =
-    { log2_cost = Qo.Rat_cost.to_log2 p.O.cost; seq = p.O.seq }
-  in
-  let fallback () =
-    let g = O.greedy ~mode:O.Min_cost inst in
-    let s = O.simulated_annealing inst in
-    if Qo.Rat_cost.compare g.O.cost s.O.cost <= 0 then ("greedy (min cost)", solved g)
-    else ("simulated anneal", solved s)
-  in
-  {
-    e_n = N.n inst;
-    e_canonical = (fun () -> "rat\n" ^ Qo.Io.dump_rat inst);
-    e_csg_bounded = (fun ~limit -> CCP.csg_count_bounded ~limit inst);
-    (* solves are sequential within a request (no pool): with --jobs
-       the parallelism is across requests, not inside the DP *)
-    e_solve = (fun e -> (e.Solver.label, solved (e.Solver.solve_rat inst)));
-    e_fallback = fallback;
-  }
+module Engine (D : Solver.DOMAIN) = struct
+  let make payload =
+    let inst = D.parse payload in
+    let solved (p : D.O.plan) = { log2_cost = D.to_log2 p.D.O.cost; seq = p.D.O.seq } in
+    let fallback () =
+      let g = D.O.greedy ~mode:D.O.Min_cost inst in
+      let s = D.O.simulated_annealing inst in
+      if D.C.compare g.D.O.cost s.D.O.cost <= 0 then ("greedy (min cost)", solved g)
+      else ("simulated anneal", solved s)
+    in
+    {
+      e_n = D.I.n inst;
+      e_canonical = (fun () -> D.name ^ "\n" ^ D.dump inst);
+      e_csg_bounded = (fun ~limit -> D.Ccp.csg_count_bounded ~limit inst);
+      e_solve =
+        (fun e ->
+          match D.solve e with
+          | Some solve -> (e.Solver.label, solved (solve inst))
+          | None ->
+              (* unreachable: prepare_item rejects rat-only algos on log
+                 instances before any solve is attempted *)
+              failwith
+                (Printf.sprintf "algo=%s supports only domain=rat" e.Solver.name));
+      e_fallback = fallback;
+    }
+end
 
-let log_engine payload =
-  let module N = Qo.Instances.Nl_log in
-  let module O = Qo.Instances.Opt_log in
-  let module CCP = Qo.Instances.Ccp_log in
-  let inst = Qo.Io.parse_log payload in
-  let solved (p : O.plan) = { log2_cost = Logreal.to_log2 p.O.cost; seq = p.O.seq } in
-  let fallback () =
-    let g = O.greedy ~mode:O.Min_cost inst in
-    let s = O.simulated_annealing inst in
-    if Qo.Log_cost.compare g.O.cost s.O.cost <= 0 then ("greedy (min cost)", solved g)
-    else ("simulated anneal", solved s)
-  in
-  {
-    e_n = N.n inst;
-    e_canonical = (fun () -> "log\n" ^ Qo.Io.dump_log inst);
-    e_csg_bounded = (fun ~limit -> CCP.csg_count_bounded ~limit inst);
-    e_solve =
-      (fun e ->
-        match e.Solver.solve_log with
-        | Some solve -> (e.Solver.label, solved (solve inst))
-        | None ->
-            (* unreachable: prepare_item rejects rat-only algos on log
-               instances before any solve is attempted *)
-            failwith
-              (Printf.sprintf "algo=%s supports only domain=rat" e.Solver.name));
-    e_fallback = fallback;
-  }
-
-let engine_of domain payload =
-  match domain with Rat -> rat_engine payload | Log -> log_engine payload
+let engine_of =
+  let module R = Engine (Solver.Rat) in
+  let module L = Engine (Solver.Log) in
+  function Rat -> R.make | Log -> L.make
 
 (* ---------------- budget model ---------------- *)
 
@@ -764,7 +770,7 @@ let prepare_item cfg cache ~ord it =
           | None ->
               P_err
                 { id = req.rq_id; code = "bad-request"; msg = "unexpected EOF before \"end\"" }
-          | Some _ when req.rq_domain = Log && req.rq_algo.Solver.solve_log = None ->
+          | Some _ when req.rq_domain = Log && Solver.Log.solve req.rq_algo = None ->
               (* rat-only algo on a log request: reject before even
                  parsing the payload — no engine could solve it *)
               P_err
@@ -794,32 +800,6 @@ let prepare_item cfg cache ~ord it =
                     | None -> lazy (engine_of req.rq_domain payload)
                   in
                   P_task { req; eng; approximate; key })))
-
-(* Batch tallies, folded into the shared stats under one lock. *)
-type tally = {
-  mutable t_req : int;
-  mutable t_ok : int;
-  mutable t_err : int;
-  mutable t_rej : int;
-  mutable t_hit : int;
-  mutable t_miss : int;
-  mutable t_coal : int;
-  mutable t_evict : int;
-  mutable t_fb : int;
-}
-
-let fresh_tally () =
-  {
-    t_req = 0;
-    t_ok = 0;
-    t_err = 0;
-    t_rej = 0;
-    t_hit = 0;
-    t_miss = 0;
-    t_coal = 0;
-    t_evict = 0;
-    t_fb = 0;
-  }
 
 type pipeline = {
   cfg : config;
@@ -886,10 +866,6 @@ let commit p b_idx responses lat_ms =
   Mutex.lock p.w_m;
   match
     Hashtbl.replace p.w_buf b_idx responses;
-    if p.cfg.record_exact_latencies then
-      for _ = 1 to Array.length responses do
-        p.st.exact_latencies_ms <- lat_ms :: p.st.exact_latencies_ms
-      done;
     let rec drain () =
       match Hashtbl.find_opt p.w_buf p.w_next with
       | None -> ()
@@ -913,29 +889,21 @@ let commit p b_idx responses lat_ms =
       Mutex.unlock p.w_m;
       raise e
 
-let apply_tally p (t : tally) =
+(* A loop rather than [List.iter]: at batch size 1 this runs once per
+   request, and the iterator's closure would be an allocation each time. *)
+let rec mirror_totals (t : totals) = function
+  | [] -> ()
+  | (c, field) :: rest ->
+      Obs.add c (field t);
+      mirror_totals t rest
+
+(* Fold a batch's counts into the session totals and the Obs mirror. *)
+let apply_tally p (t : totals) =
   Mutex.lock p.st_m;
-  let st = p.st in
-  st.requests <- st.requests + t.t_req;
-  st.ok <- st.ok + t.t_ok;
-  st.errors <- st.errors + t.t_err;
-  st.rejected <- st.rejected + t.t_rej;
-  st.cache_hits <- st.cache_hits + t.t_hit;
-  st.cache_misses <- st.cache_misses + t.t_miss;
-  st.coalesced <- st.coalesced + t.t_coal;
-  st.evictions <- st.evictions + t.t_evict;
-  st.fallbacks <- st.fallbacks + t.t_fb;
-  st.cache_entries <- Cache.length p.cache;
+  add_totals p.st.totals t;
+  p.st.cache_entries <- Cache.length p.cache;
   Mutex.unlock p.st_m;
-  Obs.add c_requests t.t_req;
-  Obs.add c_ok t.t_ok;
-  Obs.add c_err (t.t_err + t.t_rej);
-  Obs.add c_rejected t.t_rej;
-  Obs.add c_hits t.t_hit;
-  Obs.add c_misses t.t_miss;
-  Obs.add c_evictions t.t_evict;
-  Obs.add c_coalesced t.t_coal;
-  Obs.add c_fallbacks t.t_fb
+  mirror_totals t obs_totals
 
 (* Forcing the lazy engine here puts a re-parse after a front-map hit
    under the same error handling as the solve itself. *)
@@ -964,11 +932,11 @@ let process_batch p b =
     else "serve.batch"
   in
   Obs.span label @@ fun () ->
-  let tally = fresh_tally () in
+  let tally = fresh_totals () in
   let note_err code =
-    tally.t_req <- tally.t_req + 1;
-    if code = "too-large" then tally.t_rej <- tally.t_rej + 1
-    else tally.t_err <- tally.t_err + 1
+    tally.requests <- tally.requests + 1;
+    if code = "too-large" then tally.rejected <- tally.rejected + 1
+    else tally.errors <- tally.errors + 1
   in
   (* phase 1: pure prepare (parallel across batches) *)
   let prepared =
@@ -997,23 +965,23 @@ let process_batch p b =
                   note_err code;
                   S_done (error_block ~id ~code msg)
               | P_task { req; eng; approximate; key } -> (
-                  tally.t_req <- tally.t_req + 1;
-                  if approximate then tally.t_fb <- tally.t_fb + 1;
+                  tally.requests <- tally.requests + 1;
+                  if approximate then tally.fallbacks <- tally.fallbacks + 1;
                   match Cache.lookup_or_claim p.cache key with
                   | Cache.Hit_ready (body, entry_approx) ->
-                      tally.t_hit <- tally.t_hit + 1;
-                      tally.t_ok <- tally.t_ok + 1;
+                      tally.cache_hits <- tally.cache_hits + 1;
+                      tally.ok <- tally.ok + 1;
                       S_done (ok_block req ~cache_hit:true ~approximate:entry_approx body)
                   | Cache.Hit_pending (entry, shard) ->
-                      tally.t_hit <- tally.t_hit + 1;
-                      tally.t_coal <- tally.t_coal + 1;
+                      tally.cache_hits <- tally.cache_hits + 1;
+                      tally.coalesced <- tally.coalesced + 1;
                       S_await { req; eng; approximate; entry; shard }
                   | Cache.Claimed (entry, shard, evicted) ->
-                      tally.t_miss <- tally.t_miss + 1;
-                      tally.t_evict <- tally.t_evict + evicted;
+                      tally.cache_misses <- tally.cache_misses + 1;
+                      tally.evictions <- tally.evictions + evicted;
                       S_solve { req; eng; approximate; claim = Some (key, entry, shard) }
                   | Cache.Uncached ->
-                      tally.t_miss <- tally.t_miss + 1;
+                      tally.cache_misses <- tally.cache_misses + 1;
                       S_solve { req; eng; approximate; claim = None })
             in
             Obs.Histogram.record p.st.stages.h_cache (ns (Unix.gettimeofday () -. t0));
@@ -1036,13 +1004,13 @@ let process_batch p b =
                (match claim with
                | Some (_, entry, shard) -> Cache.fill entry shard ~body ~approximate
                | None -> ());
-               tally.t_ok <- tally.t_ok + 1;
+               tally.ok <- tally.ok + 1;
                responses.(i) <- ok_block req ~cache_hit:false ~approximate body
            | Error msg ->
                (match claim with
                | Some (key, entry, shard) -> Cache.abandon p.cache key entry shard
                | None -> ());
-               tally.t_err <- tally.t_err + 1;
+               tally.errors <- tally.errors + 1;
                responses.(i) <- error_block ~id:req.rq_id ~code:"solver" msg);
            Obs.Histogram.record p.st.stages.h_solve (ns (Unix.gettimeofday () -. t0))))
      steps);
@@ -1057,16 +1025,16 @@ let process_batch p b =
           let t0 = Unix.gettimeofday () in
           (match Cache.await entry shard with
           | Cache.Ready { body; approximate = entry_approx } ->
-              tally.t_ok <- tally.t_ok + 1;
+              tally.ok <- tally.ok + 1;
               responses.(i) <- ok_block req ~cache_hit:true ~approximate:entry_approx body
           | Cache.Failed | Cache.Pending -> (
               (* the claimant's solve errored: solve independently *)
               match run_solve eng ~approximate req with
               | Ok body ->
-                  tally.t_ok <- tally.t_ok + 1;
+                  tally.ok <- tally.ok + 1;
                   responses.(i) <- ok_block req ~cache_hit:false ~approximate body
               | Error msg ->
-                  tally.t_err <- tally.t_err + 1;
+                  tally.errors <- tally.errors + 1;
                   responses.(i) <- error_block ~id:req.rq_id ~code:"solver" msg));
           Obs.Histogram.record p.st.stages.h_solve (ns (Unix.gettimeofday () -. t0))))
     steps;
@@ -1107,9 +1075,9 @@ let process_batch_safe p b =
         (fun i _ -> error_block ~id:(string_of_int (b.b_first + i)) ~code:"solver" msg)
         b.b_items
     in
-    let tally = fresh_tally () in
-    tally.t_req <- Array.length b.b_items;
-    tally.t_err <- Array.length b.b_items;
+    let tally = fresh_totals () in
+    tally.requests <- Array.length b.b_items;
+    tally.errors <- Array.length b.b_items;
     apply_tally p tally;
     (try commit p b.b_idx responses 0. with _ -> ())
 
@@ -1163,23 +1131,32 @@ let control_fields control rest =
     :: ("control", Obs.Json.Str control)
     :: rest)
 
+(* The count fields every totals object (#stats, heartbeat, report)
+   starts with, in their pinned order. *)
+let count_fields st =
+  let open Obs.Json in
+  let t = st.totals in
+  [
+    ("requests", Int t.requests);
+    ("ok", Int t.ok);
+    ("errors", Int t.errors);
+    ("rejected", Int t.rejected);
+    ("cache_hits", Int t.cache_hits);
+    ("cache_misses", Int t.cache_misses);
+    ("coalesced", Int t.coalesced);
+    ("cache_entries", Int st.cache_entries);
+    ("evictions", Int t.evictions);
+    ("fallbacks", Int t.fallbacks);
+    ("cache_hit_rate", Float (hit_rate st));
+  ]
+
 let totals_json st =
   let open Obs.Json in
   let lat = Obs.Histogram.snap st.latency in
   let q x = float_of_int (Obs.Histogram.quantile lat x) /. 1e6 in
   Obj
-    [
-      ("requests", Int st.requests);
-      ("ok", Int st.ok);
-      ("errors", Int st.errors);
-      ("rejected", Int st.rejected);
-      ("cache_hits", Int st.cache_hits);
-      ("cache_misses", Int st.cache_misses);
-      ("coalesced", Int st.coalesced);
-      ("cache_entries", Int st.cache_entries);
-      ("evictions", Int st.evictions);
-      ("fallbacks", Int st.fallbacks);
-      ("cache_hit_rate", Float (hit_rate st));
+    (count_fields st
+    @ [
       ( "latency_ms",
         Obj
           [
@@ -1190,7 +1167,7 @@ let totals_json st =
             ("p999", Float (q 99.9));
             ("max", Float (float_of_int lat.Obs.Histogram.max_value /. 1e6));
           ] );
-    ]
+    ])
 
 let control_response st ~accepted ctl =
   let open Obs.Json in
@@ -1213,7 +1190,7 @@ let control_response st ~accepted ctl =
                [
                  ("status", Str (if st.interrupted then "draining" else "ok"));
                  ("accepted", Int accepted);
-                 ("completed", Int st.requests);
+                 ("completed", Int st.totals.requests);
                  ("interrupted", Bool st.interrupted);
                ]);
         ]
@@ -1497,8 +1474,9 @@ let summary st =
   Printf.sprintf
     "qopt serve: %d request(s) — %d ok, %d error(s), %d rejected; cache %d hit / %d miss \
      / %d evicted / %d coalesced, %d resident (%.0f%% hit rate); %d fallback(s); %.3fs%s"
-    st.requests st.ok st.errors st.rejected st.cache_hits st.cache_misses st.evictions
-    st.coalesced st.cache_entries (100. *. hit_rate st) st.fallbacks st.seconds
+    st.totals.requests st.totals.ok st.totals.errors st.totals.rejected
+    st.totals.cache_hits st.totals.cache_misses st.totals.evictions st.totals.coalesced
+    st.cache_entries (100. *. hit_rate st) st.totals.fallbacks st.seconds
     (if st.interrupted then " (interrupted)" else "")
 
 let stages_json st =
@@ -1515,18 +1493,8 @@ let report_json ~jobs st =
         ("jobs", Int jobs);
         ( "totals",
           Obj
-            [
-              ("requests", Int st.requests);
-              ("ok", Int st.ok);
-              ("errors", Int st.errors);
-              ("rejected", Int st.rejected);
-              ("cache_hits", Int st.cache_hits);
-              ("cache_misses", Int st.cache_misses);
-              ("coalesced", Int st.coalesced);
-              ("cache_entries", Int st.cache_entries);
-              ("evictions", Int st.evictions);
-              ("fallbacks", Int st.fallbacks);
-              ("cache_hit_rate", Float (hit_rate st));
+            (count_fields st
+            @ [
               ("seconds", Float st.seconds);
               ( "latency_ms",
                 Obj
@@ -1538,7 +1506,7 @@ let report_json ~jobs st =
                     ("p999", Float (latency_percentile st 99.9));
                   ] );
               ("interrupted", Bool st.interrupted);
-            ] );
+            ]) );
         ("stages", stages_json st);
       ]
     ()

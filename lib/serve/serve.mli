@@ -146,18 +146,11 @@ type config = {
           affects response bytes. *)
   rat_transition_ns : float;  (** budget model: ns per DP transition, rational domain *)
   log_transition_ns : float;  (** budget model: ns per DP transition, log domain *)
-  record_exact_latencies : bool;
-      (** additionally keep every raw latency sample in
-          [stats.exact_latencies_ms] (O(requests) memory — the store
-          the histograms replaced). Off by default; the bench turns it
-          on to verify histogram quantiles against exact sorted-array
-          percentiles. *)
 }
 
 val default_config : config
 (** [{cache_capacity = 256; cache_shards = 8; queue_capacity = 64;
-     batch_size = 1; rat_transition_ns = 100.; log_transition_ns = 10.;
-     record_exact_latencies = false}] *)
+     batch_size = 1; rat_transition_ns = 100.; log_transition_ns = 10.}] *)
 
 (** Per-stage latency histograms (integer nanoseconds): the request
     lifecycle queue-wait → prepare → cache → solve → commit, one
@@ -172,7 +165,13 @@ type stage_hists = {
   h_commit : Obs.Histogram.t;
 }
 
-type stats = {
+(** Request counts. Serve fills one per batch and folds it into the
+    session's [stats.totals] under one lock; the same batch record
+    drives the Obs counters ([serve.requests], [serve.responses.ok],
+    [serve.responses.error] = [errors + rejected],
+    [serve.admission.rejected], [serve.cache.{hits,misses,evictions,coalesced}],
+    [serve.fallbacks]). *)
+type totals = {
   mutable requests : int;
   mutable ok : int;
   mutable errors : int;  (** error responses other than admission rejections *)
@@ -185,10 +184,14 @@ type stats = {
           is jobs-invariant; this split is scheduling-dependent at
           [jobs > 1] (hence masked by {!timing_fields}), deterministic
           at [jobs = 1]. *)
-  mutable cache_entries : int;
-      (** cache occupancy ({!Cache.length}) at the last batch commit *)
   mutable evictions : int;
   mutable fallbacks : int;  (** budget-driven exact-to-approximate downgrades *)
+}
+
+type stats = {
+  totals : totals;
+  mutable cache_entries : int;
+      (** cache occupancy ({!Cache.length}) at the last batch commit *)
   mutable seconds : float;
   mutable interrupted : bool;  (** stopped by {!Shutdown} rather than EOF *)
   latency : Obs.Histogram.t;
@@ -196,9 +199,6 @@ type stats = {
           nanoseconds; O(buckets) memory regardless of request count.
           Basis for {!latency_percentile}. *)
   stages : stage_hists;
-  mutable exact_latencies_ms : float list;
-      (** raw samples, only populated under
-          [config.record_exact_latencies] *)
 }
 
 val fresh_stats : unit -> stats
@@ -314,6 +314,13 @@ val latency_percentile : stats -> float -> float
     histogram with the same rank formula as the old sorted-array
     store, so it agrees with the exact percentile to within one bucket
     width ({!Obs.Histogram.width_at}, ≤ 6.25% relative). *)
+
+val count_fields : stats -> (string * Obs.Json.t) list
+(** The count fields every totals object starts with, in their pinned
+    order: [requests], [ok], [errors], [rejected], [cache_hits],
+    [cache_misses], [coalesced], [cache_entries], [evictions],
+    [fallbacks], [cache_hit_rate]. Shared by {!report_json},
+    {!heartbeat_json}, the [#stats] control and the trace report. *)
 
 val summary : stats -> string
 (** One-line human summary for the shutdown message on stderr. *)

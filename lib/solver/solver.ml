@@ -223,3 +223,48 @@ let hint e =
   with
   | [] -> "a heuristic algo"
   | names -> String.concat " or " names
+
+module type DOMAIN = sig
+  val name : string
+
+  module C : Qo.Cost.S
+  module I : module type of struct include Qo.Nl.Make (C) end
+  module O : module type of struct include Qo.Opt.Make (C) end
+  module Ccp : module type of struct include Qo.Ccp.Make (C) end
+
+  val parse : string -> I.t
+  val dump : I.t -> string
+  val to_log2 : C.t -> float
+  val solve : entry -> (?pool:Pool.t -> I.t -> O.plan) option
+  val preamble : entry -> (I.t -> string) option
+end
+
+module Rat = struct
+  let name = "rat"
+
+  module C = Qo.Rat_cost
+  module I = Qo.Instances.Nl_rat
+  module O = Qo.Instances.Opt_rat
+  module Ccp = Qo.Instances.Ccp_rat
+
+  let parse = Qo.Io.parse_rat
+  let dump = Qo.Io.dump_rat
+  let to_log2 = C.to_log2
+  let solve e = Some e.solve_rat
+  let preamble e = e.preamble_rat
+end
+
+module Log = struct
+  let name = "log"
+
+  module C = Qo.Log_cost
+  module I = Qo.Instances.Nl_log
+  module O = Qo.Instances.Opt_log
+  module Ccp = Qo.Instances.Ccp_log
+
+  let parse = Qo.Io.parse_log
+  let dump = Qo.Io.dump_log
+  let to_log2 = C.to_log2
+  let solve e = e.solve_log
+  let preamble e = e.preamble_log
+end

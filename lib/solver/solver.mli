@@ -78,3 +78,47 @@ val hint : entry -> string
 (** ["ccp or conv"]-style suggestion naming the exact solvers that
     admit strictly larger instances than [e] — rendered into
     admission-skip messages. *)
+
+(** {1 Cost domains}
+
+    The cost function [QO_N] is evaluated in two domains: exact
+    rationals ({!Rat}, for cross-validation) and log2 reals ({!Log},
+    for reduction instances whose sizes overflow everything else).
+    Every consumer of the registry — serve's engine, the fuzz oracles,
+    the CLI portfolio — is written once as a functor over {!DOMAIN}
+    and applied to the two instances below, instead of as a hand-made
+    rat/log pair. *)
+module type DOMAIN = sig
+  val name : string  (** ["rat"] or ["log"]: serve's [domain=] token *)
+
+  module C : Qo.Cost.S
+  module I : module type of struct include Qo.Nl.Make (C) end
+  module O : module type of struct include Qo.Opt.Make (C) end
+  module Ccp : module type of struct include Qo.Ccp.Make (C) end
+
+  val parse : string -> I.t
+  (** {!Qo.Io}'s parser for the domain. @raise Invalid_argument *)
+
+  val dump : I.t -> string
+  (** {!Qo.Io}'s canonical dump for the domain. *)
+
+  val to_log2 : C.t -> float
+
+  val solve : entry -> (?pool:Pool.t -> I.t -> O.plan) option
+  (** The entry's solver in this domain; [None] when the entry does not
+      support it (the MILP entry is rational-only). *)
+
+  val preamble : entry -> (I.t -> string) option
+end
+
+(* [C] is a module alias, so [I.t] is the very type of
+   [Qo.Instances.Nl_rat.t] / [Nl_log.t] (functors are applicative). *)
+module Rat : sig
+  module C = Qo.Rat_cost
+  include DOMAIN with module C := C
+end
+
+module Log : sig
+  module C = Qo.Log_cost
+  include DOMAIN with module C := C
+end

@@ -200,7 +200,7 @@ let build_rat_pool p =
 
 let build_log_pool p =
   let st = Random.State.make [| p.seed; 0x10f |] in
-  let fast = fast_entries (List.filter (fun e -> e.Solver.solve_log <> None) Solver.all) in
+  let fast = fast_entries (List.filter (fun e -> Solver.Log.solve e <> None) Solver.all) in
   let size = min 8 p.pool_size in
   Array.init size (fun i ->
       let n = 6 + (i mod 4) in
@@ -264,7 +264,7 @@ let disconnected_payload =
      Qo.Io.dump_rat (Qo.Gen_inst.R.over_graph ~seed:97 ~graph ()))
 
 let rat_only_entry =
-  lazy (List.find_opt (fun e -> e.Solver.solve_log = None) Solver.all)
+  lazy (List.find_opt (fun e -> Solver.Log.solve e = None) Solver.all)
 
 (* ---------------- generation ---------------- *)
 
@@ -488,14 +488,8 @@ let replay ?pool ?config ?(probe_every = 0) trace =
   (out, st, seconds)
 
 let stats_key (st : Serve.stats) =
-  ( st.Serve.requests,
-    st.Serve.ok,
-    st.Serve.errors,
-    st.Serve.rejected,
-    st.Serve.cache_hits,
-    st.Serve.cache_misses,
-    st.Serve.evictions,
-    st.Serve.fallbacks )
+  let t = st.Serve.totals in
+  (t.requests, t.ok, t.errors, t.rejected, t.cache_hits, t.cache_misses, t.evictions, t.fallbacks)
 
 let first_divergence a b =
   let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
@@ -595,24 +589,14 @@ let report_json ~jobs ~trace ~out ~seconds ?identity (st : Serve.stats) =
          ("trace", Obj (List.map (fun (k, v) -> (k, prov_value v)) (parse_provenance trace)));
          ( "totals",
            Obj
-             [
-               ("requests", Int st.Serve.requests);
-               ("ok", Int st.Serve.ok);
-               ("errors", Int st.Serve.errors);
-               ("rejected", Int st.Serve.rejected);
-               ("cache_hits", Int st.Serve.cache_hits);
-               ("cache_misses", Int st.Serve.cache_misses);
-               ("coalesced", Int st.Serve.coalesced);
-               ("cache_entries", Int st.Serve.cache_entries);
-               ("evictions", Int st.Serve.evictions);
-               ("fallbacks", Int st.Serve.fallbacks);
-               ("cache_hit_rate", Float (Serve.hit_rate st));
-               ("seconds", Float seconds);
-               ( "requests_per_s",
-                 Float
-                   (if seconds > 0. then float_of_int st.Serve.requests /. seconds
-                    else 0.) );
-             ] );
+             (Serve.count_fields st
+             @ [
+                 ("seconds", Float seconds);
+                 ( "requests_per_s",
+                   Float
+                     (if seconds > 0. then float_of_int st.Serve.totals.requests /. seconds
+                      else 0.) );
+               ]) );
          ("errors_by_code", Obj (List.map (fun (c, k) -> (c, Int k)) facts.f_codes));
          ( "responses",
            Obj
@@ -641,10 +625,10 @@ let report_json_masked ~jobs ~trace ~out ~seconds ?identity st =
     (report_json ~jobs ~trace ~out ~seconds ?identity st)
 
 let summary ~jobs ~seconds (st : Serve.stats) =
+  let t = st.Serve.totals in
   Printf.sprintf
     "qopt replay: %d request(s) at jobs=%d — %d ok, %d error(s), %d rejected; cache \
      %.1f%% hit (%d coalesced, %d resident); %d fallback(s); %.2fs (%.0f req/s)"
-    st.Serve.requests jobs st.Serve.ok st.Serve.errors st.Serve.rejected
-    (100. *. Serve.hit_rate st)
-    st.Serve.coalesced st.Serve.cache_entries st.Serve.fallbacks seconds
-    (if seconds > 0. then float_of_int st.Serve.requests /. seconds else 0.)
+    t.requests jobs t.ok t.errors t.rejected (100. *. Serve.hit_rate st) t.coalesced
+    st.Serve.cache_entries t.fallbacks seconds
+    (if seconds > 0. then float_of_int t.requests /. seconds else 0.)

@@ -147,7 +147,6 @@ let test_bigq_basics () =
   Alcotest.(check bigq) "normalization" (Bigq.of_ints 2 3) (Bigq.of_ints 14 21);
   Alcotest.(check bigq) "negative denominator" (Bigq.of_ints (-2) 3) (Bigq.of_ints 2 (-3));
   Alcotest.(check bigq) "string roundtrip" (Bigq.of_ints (-5) 7) (Bigq.of_string "-5/7");
-  Alcotest.(check (float 1e-9)) "to_float" 0.4 (Bigq.to_float (Bigq.of_ints 2 5));
   Alcotest.(check (float 1e-9)) "log2 1/1024" (-10.0) (Bigq.log2 (Bigq.of_ints 1 1024));
   Alcotest.check_raises "zero denominator" Division_by_zero (fun () ->
       ignore (Bigq.of_ints 1 0))

@@ -71,6 +71,90 @@ let test_registry () =
   check "milp-vs-dp registered" true (List.mem "milp-vs-dp" names);
   check "simpli-bound registered" true (List.mem "simpli-bound" names)
 
+(* ------------------------------------------------- registry oracles *)
+
+module OL = Qo.Instances.Opt_log
+
+let entry name =
+  match Solver.find name with Some e -> e | None -> Alcotest.failf "no entry %s" name
+
+let generated e =
+  match Fuzz.registry_oracle e with
+  | Some o -> o
+  | None -> Alcotest.failf "no oracle generated for %s" e.Solver.name
+
+(* A rat instance (and its log image) on which greedy's plan is not
+   dp's, found by a deterministic scan. *)
+let greedy_suboptimal =
+  lazy
+    (let rec scan seed =
+       if seed > 200 then Alcotest.fail "no instance where greedy differs from dp"
+       else
+         let ri = R.random ~seed ~n:6 ~p:0.6 () in
+         let li = Qo.Instances.log_of_rat ri in
+         if (OR.greedy ri).OR.seq <> (OR.dp ri).OR.seq
+            && (OL.greedy li).OL.seq <> (OL.dp li).OL.seq
+         then (ri, li)
+         else scan (seed + 1)
+     in
+     scan 1)
+
+let expect_fail label = function
+  | Fuzz.Fail _ -> ()
+  | o -> Alcotest.failf "%s: expected a failure, got %s" label (outcome_str o)
+
+(* An entry that claims exactness but returns greedy's plan is caught
+   in both domains. *)
+let test_registry_oracle_fake_exact () =
+  let ri, li = Lazy.force greedy_suboptimal in
+  let fake =
+    {
+      (entry "dp") with
+      Solver.name = "fake-exact";
+      aliases = [];
+      solve_rat = (fun ?pool i -> ignore pool; OR.greedy i);
+      solve_log = Some (fun ?pool i -> ignore pool; OL.greedy i);
+    }
+  in
+  let o = generated fake in
+  check_str "exact entries get a -vs-dp oracle" "fake-exact-vs-dp" o.Fuzz.name;
+  expect_fail "rat" (Fuzz.check_case o (Fuzz.Rat ri));
+  expect_fail "log" (Fuzz.check_case o (Fuzz.Log li))
+
+(* A heuristic that reports a cost its sequence does not realize is
+   caught in both domains. *)
+let test_registry_oracle_misreported_cost () =
+  let ri, li = Lazy.force greedy_suboptimal in
+  let fake =
+    {
+      (entry "simpli") with
+      Solver.name = "fake-heuristic";
+      solve_rat =
+        (fun ?pool i ->
+          ignore pool;
+          let p = OR.greedy i in
+          { p with OR.cost = C.mul p.OR.cost (C.of_int 2) });
+      solve_log =
+        Some
+          (fun ?pool i ->
+            ignore pool;
+            let p = OL.greedy i in
+            { p with OL.cost = Qo.Log_cost.mul p.OL.cost (Qo.Log_cost.of_int 2) });
+    }
+  in
+  let o = generated fake in
+  check_str "heuristics get a -bound oracle" "fake-heuristic-bound" o.Fuzz.name;
+  expect_fail "rat" (Fuzz.check_case o (Fuzz.Rat ri));
+  expect_fail "log" (Fuzz.check_case o (Fuzz.Log li))
+
+(* The rational-only MILP entry skips log cases; the seed portfolio
+   gets no generated oracle (its handwritten ones cover it). *)
+let test_registry_oracle_domains () =
+  let _, li = Lazy.force greedy_suboptimal in
+  check_str "milp on log" "skip: rational-domain oracle"
+    (outcome_str (Fuzz.check_case (generated (entry "milp")) (Fuzz.Log li)));
+  check "seed portfolio exempt" true (Option.is_none (Fuzz.registry_oracle (entry "dp")))
+
 (* [?only] restricts the oracle set without disturbing the seeded case
    stream, and rejects unknown names. *)
 let test_campaign_only () =
@@ -206,7 +290,7 @@ let test_campaign_deterministic () =
 
 let test_report_schema () =
   let r = Fuzz.run_campaign ~seed:6 ~runs:5 () in
-  let json = Fuzz.report_json ~jobs:1 ~seed:6 r in
+  let json = Fuzz.report_json ~jobs:1 ~seed:6 ~corpus:("fuzz/corpus", 0) r in
   let member k = Obs.Json.member k json in
   (match member "schema_version" with
   | Some (Obs.Json.Int 1) -> ()
@@ -220,6 +304,9 @@ let test_report_schema () =
       | Some (Obs.Json.Int 5) -> ()
       | _ -> Alcotest.fail "totals.runs <> 5")
   | None -> Alcotest.fail "no totals");
+  (match Option.bind (member "corpus") (Obs.Json.member "cases") with
+  | Some (Obs.Json.Int 0) -> ()
+  | _ -> Alcotest.fail "corpus.cases <> 0");
   check "member misses cleanly" true (member "no-such-key" = None);
   check "serializes" true (String.length (Obs.Json.to_string json) > 0)
 
@@ -230,6 +317,11 @@ let () =
         [
           Alcotest.test_case "clean on shipped generators" `Quick test_oracles_clean;
           Alcotest.test_case "registry names and order" `Quick test_registry;
+          Alcotest.test_case "generated: fake exact entry" `Quick
+            test_registry_oracle_fake_exact;
+          Alcotest.test_case "generated: misreported cost" `Quick
+            test_registry_oracle_misreported_cost;
+          Alcotest.test_case "generated: domains" `Quick test_registry_oracle_domains;
         ] );
       ( "shrink",
         [

@@ -267,6 +267,8 @@ let test_hist_vs_exact_property () =
   let h = H.create () in
   Array.iter (H.record h) samples;
   let s = H.snap h in
+  (* the fixed O(buckets) footprint every latency series costs *)
+  Alcotest.(check int) "bucket count" 944 H.bucket_count;
   let sorted = Array.copy samples in
   Array.sort compare sorted;
   List.iter

@@ -67,7 +67,7 @@ let test_parser_messages () =
   let out, st = Serve.serve_string ("request id=al algo=lattice\n" ^ chain2) in
   check "alias canonicalized in response" true
     (has_line out "response id=al status=ok algo=dp domain=rat cache=miss approximate=false");
-  Alcotest.(check int) "alias request served" 1 st.Serve.ok
+  Alcotest.(check int) "alias request served" 1 st.Serve.totals.ok
 
 (* ---------------- exactness property ---------------- *)
 
@@ -98,7 +98,34 @@ let property_cap = 12
 (* Every exact entry, against the dp reference its exactness names:
    [Unconstrained] vs [Opt.dp] over the full lattice, [Cartesian_free]
    vs [Opt.dp_no_cartesian]. Cost and sequence must both match — plans
-   are canonical, so "same cost, different order" is also a bug. *)
+   are canonical, so "same cost, different order" is also a bug. One
+   check per domain the entry supports. *)
+module Exactness (D : Solver.DOMAIN) = struct
+  let check_shapes (e : Solver.entry) ex ~n ~seed shapes =
+    match D.solve e with
+    | None -> 0
+    | Some solve ->
+        List.iter
+          (fun (shape, gen) ->
+            let ctx =
+              Printf.sprintf "%s %s %s n=%d seed=%d" e.Solver.name D.name shape n seed
+            in
+            let i = gen ~seed ~n in
+            let a = solve i in
+            let r =
+              match ex with
+              | Solver.Unconstrained -> D.O.dp i
+              | Solver.Cartesian_free -> D.O.dp_no_cartesian i
+            in
+            check (ctx ^ " cost") true (D.C.equal a.D.O.cost r.D.O.cost);
+            check (ctx ^ " seq") true (a.D.O.seq = r.D.O.seq))
+          shapes;
+        List.length shapes
+end
+
+module Exact_rat = Exactness (Solver.Rat)
+module Exact_log = Exactness (Solver.Log)
+
 let test_exact_entries_bit_identical () =
   let cases = ref 0 in
   List.iter
@@ -106,45 +133,12 @@ let test_exact_entries_bit_identical () =
       match e.Solver.exact with
       | None -> ()
       | Some ex ->
-          let cap = min property_cap e.Solver.diff_cap in
-          for n = 1 to cap do
+          for n = 1 to min property_cap e.Solver.diff_cap do
             for seed = 1 to 2 do
-              List.iter
-                (fun (shape, gen) ->
-                  let ctx =
-                    Printf.sprintf "%s rat %s n=%d seed=%d" e.Solver.name shape n seed
-                  in
-                  let i = gen ~seed ~n in
-                  let a = e.Solver.solve_rat i in
-                  let r =
-                    match ex with
-                    | Solver.Unconstrained -> OR.dp i
-                    | Solver.Cartesian_free -> OR.dp_no_cartesian i
-                  in
-                  incr cases;
-                  check (ctx ^ " cost") true (Qo.Rat_cost.equal a.OR.cost r.OR.cost);
-                  check (ctx ^ " seq") true (a.OR.seq = r.OR.seq))
-                rat_shapes;
-              match e.Solver.solve_log with
-              | None -> ()
-              | Some solve ->
-                  List.iter
-                    (fun (shape, gen) ->
-                      let ctx =
-                        Printf.sprintf "%s log %s n=%d seed=%d" e.Solver.name shape n
-                          seed
-                      in
-                      let i = gen ~seed ~n in
-                      let a = solve i in
-                      let r =
-                        match ex with
-                        | Solver.Unconstrained -> OL.dp i
-                        | Solver.Cartesian_free -> OL.dp_no_cartesian i
-                      in
-                      incr cases;
-                      check (ctx ^ " cost") true (Qo.Log_cost.equal a.OL.cost r.OL.cost);
-                      check (ctx ^ " seq") true (a.OL.seq = r.OL.seq))
-                    log_shapes
+              cases :=
+                !cases
+                + Exact_rat.check_shapes e ex ~n ~seed rat_shapes
+                + Exact_log.check_shapes e ex ~n ~seed log_shapes
             done
           done)
     Solver.all;
@@ -173,6 +167,35 @@ let test_heuristic_entries_bounded () =
         done)
     Solver.all
 
+(* [Solver.Rat] / [Solver.Log] read the registry's per-domain fields:
+   the same solver (same plan), the same preamble, and a log solver
+   exactly where the entry declares one. *)
+let test_domain_modules () =
+  let ri = Qo.Gen_inst.R.tree ~seed:5 ~n:6 () and li = Qo.Gen_inst.L.tree ~seed:5 ~n:6 () in
+  List.iter
+    (fun (e : Solver.entry) ->
+      let name = e.Solver.name in
+      (match Solver.Rat.solve e with
+      | None -> Alcotest.failf "%s: Rat.solve is None" name
+      | Some f ->
+          let a = f ri and b = e.Solver.solve_rat ri in
+          check (name ^ " rat plan") true
+            (Qo.Rat_cost.equal a.OR.cost b.OR.cost && a.OR.seq = b.OR.seq));
+      (match (Solver.Log.solve e, e.Solver.solve_log) with
+      | None, None -> ()
+      | Some f, Some g ->
+          let a = f li and b = g li in
+          check (name ^ " log plan") true
+            (Qo.Log_cost.equal a.OL.cost b.OL.cost && a.OL.seq = b.OL.seq)
+      | _ -> Alcotest.failf "%s: Log.solve and solve_log disagree on support" name);
+      let run inst = Option.map (fun f -> f inst) in
+      check (name ^ " rat preamble") true
+        (run ri (Solver.Rat.preamble e) = run ri e.Solver.preamble_rat);
+      check (name ^ " log preamble") true
+        (run li (Solver.Log.preamble e) = run li e.Solver.preamble_log))
+    Solver.all;
+  check_str "domain names" "rat|log" (Solver.Rat.name ^ "|" ^ Solver.Log.name)
+
 let () =
   Alcotest.run "solver"
     [
@@ -181,6 +204,7 @@ let () =
           Alcotest.test_case "names + aliases" `Quick test_names_and_aliases;
           Alcotest.test_case "generated hints" `Quick test_hints;
           Alcotest.test_case "generated parser messages" `Quick test_parser_messages;
+          Alcotest.test_case "domain modules match entry fields" `Quick test_domain_modules;
         ] );
       ( "exactness",
         [

@@ -117,11 +117,11 @@ let test_request_count () =
 let test_replay_accounting () =
   let t = Trace.generate small in
   let _out, st, seconds = Trace.replay ~probe_every:50 t in
-  Alcotest.(check int) "every line accounted" small.Trace.requests st.Serve.requests;
+  Alcotest.(check int) "every line accounted" small.Trace.requests st.Serve.totals.requests;
   Alcotest.(check int) "ok + errors + rejected = requests" small.Trace.requests
-    (st.Serve.ok + st.Serve.errors + st.Serve.rejected);
-  Alcotest.(check bool) "cache hits occur under skew" true (st.Serve.cache_hits > 0);
-  Alcotest.(check bool) "hostile tail produces errors" true (st.Serve.errors > 0);
+    (st.Serve.totals.ok + st.Serve.totals.errors + st.Serve.totals.rejected);
+  Alcotest.(check bool) "cache hits occur under skew" true (st.Serve.totals.cache_hits > 0);
+  Alcotest.(check bool) "hostile tail produces errors" true (st.Serve.totals.errors > 0);
   Alcotest.(check bool) "wall clock measured" true (seconds > 0.0)
 
 let test_probes_do_not_perturb () =
@@ -159,7 +159,7 @@ let test_hostile_codes () =
   Alcotest.(check bool) "junk lines rejected" true (contains out "code=bad-request");
   Alcotest.(check bool) "payload parse errors" true (contains out "code=parse");
   Alcotest.(check bool) "admission-cap violations" true (contains out "code=too-large");
-  Alcotest.(check bool) "hostile majority errors" true (st.Serve.errors > 32)
+  Alcotest.(check bool) "hostile majority errors" true (st.Serve.totals.errors > 32)
 
 (* The headline signal: with a fixed pool larger than the cache,
    hotter skew concentrates traffic on fewer instances and the hit
@@ -180,8 +180,8 @@ let test_hit_rate_rises_with_skew () =
       }
     in
     let _out, st, _ = Trace.replay ~config ~probe_every:0 (Trace.generate p) in
-    float_of_int st.Serve.cache_hits
-    /. float_of_int (st.Serve.cache_hits + st.Serve.cache_misses)
+    float_of_int st.Serve.totals.cache_hits
+    /. float_of_int (st.Serve.totals.cache_hits + st.Serve.totals.cache_misses)
   in
   let cold = rate 0.2 and hot = rate 1.4 in
   if not (hot > cold) then
