@@ -291,9 +291,9 @@ let ccp_dp_check ~jobs =
 
    - clique-ish graphs at matched n: nearly every subset is connected,
      so ccp's hashed connected-subset walk degenerates to the full
-     lattice plus hashing overhead, while conv's cardinality-layered
-     flat-array sweep pays no hashing at all — the asymptotic win the
-     bench must show;
+     lattice plus hashing overhead, while conv's dense regime (the
+     lattice DP's own kernel, swept by rank) finds each subset by its
+     mask — a constant factor, and the rows must be bit-identical;
    - chain/tree past the old 61-relation single-word ceiling: the
      multi-word sparse regime, where a full-length join sequence is
      the invariant a broken enumeration would break first. *)
@@ -344,19 +344,27 @@ let conv_check ~jobs =
     g
   in
   ignore jobs;
-  Printf.printf "\n%-12s %4s %16s %12s %12s\n" "graph" "n" "csg (vs 2^n)" "conv (s)" "cost";
+  Printf.printf "\n%-12s %4s %16s %12s %12s %11s\n" "graph" "n" "csg (vs 2^n)" "conv (s)" "cost"
+    "max bucket";
   let beyond_rows =
     List.map
       (fun (name, graph) ->
         let inst = Qo.Gen_inst.L.over_graph ~seed:11 ~graph () in
         let n = NL.n inst in
         let p, t = Obs.time (fun () -> CV.solve inst) in
+        (* longest chain of the multi-word subset index this solve
+           built: a timing-free witness of how well [Bitset.hash]
+           spreads the subsets *)
+        let max_bucket =
+          Option.value ~default:(-1) (List.assoc_opt "ccp.dp.idx_max_bucket" (Obs.snapshot ()))
+        in
         if Array.length p.OL.seq <> n then incr mismatches;
-        Printf.printf "%-12s %4d %16s %12.4f %12s\n" name n
+        Printf.printf "%-12s %4d %16s %12.4f %12s %11d\n" name n
           (Printf.sprintf "%d / 2^%d" (CCP.csg_count inst) n)
           t
-          (Printf.sprintf "2^%.1f" (Logreal.to_log2 p.OL.cost));
-        (name, n, CCP.csg_count inst, t, Logreal.to_log2 p.OL.cost))
+          (Printf.sprintf "2^%.1f" (Logreal.to_log2 p.OL.cost))
+          max_bucket;
+        (name, n, CCP.csg_count inst, t, Logreal.to_log2 p.OL.cost, max_bucket))
       [
         ("chain", Graphlib.Gen.path 128);
         ("spider-3x21", spider ~legs:3 ~len:21);
@@ -807,7 +815,7 @@ let conv_json (vs_rows, beyond_rows) =
       ( "conv_beyond_word",
         Arr
           (List.map
-             (fun (name, n, csg, t, log2_cost) ->
+             (fun (name, n, csg, t, log2_cost, max_bucket) ->
                Obj
                  [
                    ("graph", Str name);
@@ -815,6 +823,7 @@ let conv_json (vs_rows, beyond_rows) =
                    ("connected_subsets", Int csg);
                    ("conv_s", Float t);
                    ("log2_cost", Float log2_cost);
+                   ("idx_max_bucket", Int max_bucket);
                  ])
              beyond_rows) );
     ]

@@ -39,18 +39,44 @@ let popcount x =
   let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
   go 0 x
 
+(* de Bruijn multiply-and-lookup over 32-bit halves: [db32] times a
+   power of two 2^k (k < 32) has a distinct top-5-bit window for each
+   k, and the table maps the window back to k *)
+let db32 = 0x077CB531
+
+let db_table =
+  let t = Bytes.create 32 in
+  for k = 0 to 31 do
+    Bytes.set t ((((1 lsl k) * db32) land 0xFFFFFFFF) lsr 27) (Char.chr k)
+  done;
+  Bytes.to_string t
+
+let[@inline] bit_index b =
+  let lo = b land 0xFFFFFFFF in
+  if lo <> 0 then Char.code (String.unsafe_get db_table (((lo * db32) land 0xFFFFFFFF) lsr 27))
+  else 32 + Char.code (String.unsafe_get db_table ((((b lsr 32) * db32) land 0xFFFFFFFF) lsr 27))
+
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let same_cap a b =
   if a.n <> b.n then invalid_arg "Bitset: capacity mismatch"
 
-(* Deterministic, implementation-defined hash over the word array —
-   equal sets hash equal (capacities must match for equality anyway). *)
+(* splitmix64's finalizer in 63-bit arithmetic (odd multipliers below
+   2^62): every input bit reaches every output bit, so sets that differ
+   only in high bits still spread over a power-of-two table's low-bit
+   buckets. *)
+let[@inline] mix x =
+  let x = (x lxor (x lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let x = (x lxor (x lsr 27)) * 0x14d049bb133111eb in
+  x lxor (x lsr 31)
+
+(* Deterministic hash over the word array, each word mixed in: equal
+   sets hash equal (capacities must match for equality anyway). *)
 let hash t =
   let h = ref t.n in
   for i = 0 to Array.length t.words - 1 do
-    h := (!h * 486187739) + t.words.(i)
+    h := mix (!h lxor t.words.(i))
   done;
   !h land max_int
 
@@ -82,13 +108,9 @@ let prefix n k =
 let lowest t =
   let rec go i =
     if i >= Array.length t.words then -1
-    else if t.words.(i) = 0 then go (i + 1)
-    else begin
+    else
       let w = t.words.(i) in
-      let low = w land -w in
-      let rec idx j v = if v land 1 = 1 then j else idx (j + 1) (v lsr 1) in
-      (i * word_bits) + idx 0 low
-    end
+      if w = 0 then go (i + 1) else (i * word_bits) + bit_index (w land -w)
   in
   go 0
 
@@ -166,27 +188,15 @@ let inter_cardinal a b =
   done;
   !acc
 
-let choose t =
-  let rec go i =
-    if i >= Array.length t.words then None
-    else if t.words.(i) = 0 then go (i + 1)
-    else begin
-      (* index of lowest set bit *)
-      let w = t.words.(i) in
-      let rec bit j = if (w lsr j) land 1 = 1 then j else bit (j + 1) in
-      Some ((i * word_bits) + bit 0)
-    end
-  in
-  go 0
+let choose t = match lowest t with -1 -> None | i -> Some i
 
 let iter f t =
   for i = 0 to Array.length t.words - 1 do
     let w = ref t.words.(i) in
     while !w <> 0 do
       let low = !w land -(!w) in
-      let rec idx j v = if v land 1 = 1 then j else idx (j + 1) (v lsr 1) in
-      f ((i * word_bits) + idx 0 low);
-      w := !w land lnot low
+      f ((i * word_bits) + bit_index low);
+      w := !w lxor low
     done
   done
 

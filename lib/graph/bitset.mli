@@ -26,7 +26,13 @@ val is_empty : t -> bool
 val equal : t -> t -> bool
 
 val hash : t -> int
-(** Deterministic hash consistent with {!equal} (for [Hashtbl.Make]). *)
+(** Deterministic hash consistent with {!equal} (for [Hashtbl.Make]),
+    with every word fully mixed: sets differing only in high bits land
+    in different buckets of a power-of-two table. *)
+
+val bit_index : int -> int
+(** [bit_index b] is [k] when [b = 1 lsl k] ([0 <= k <= 62]): a table
+    lookup, no loop. Unspecified when [b] is not a single bit. *)
 
 val compare : t -> t -> int
 (** Total order: the sets as little-endian multi-word unsigned

@@ -102,14 +102,7 @@ let build (inst : Qo.Instances.Nl_rat.t) =
       (Graphlib.Ugraph.neighbors inst.N.graph v)
   done;
   let lowest_bit m = m land -m in
-  let bit_index b =
-    let i = ref 0 and v = ref b in
-    while !v land 1 = 0 do
-      incr i;
-      v := !v lsr 1
-    done;
-    !i
-  in
+  let bit_index = Graphlib.Bitset.bit_index in
   (* N(S) for every nonempty mask, as exact rationals *)
   let sizes = Array.make (full + 1) Bigq.one in
   for s = 1 to full do

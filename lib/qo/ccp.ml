@@ -368,16 +368,17 @@ module Make (C : Cost.S) = struct
         parent.(i) <- BS.lowest s)
       layers.(1);
     (* identical transition, candidate order (ascending = lowest bit
-       first) and strict-improvement tie-break as the single-word path *)
+       first) and strict-improvement tie-break as the single-word path;
+       min over [s] of [w(j, .)] is the first member of [s] in row [j]'s
+       ascending order, the one the ascending scan keeps *)
+    let w_order = Lattice.row_order C.compare inst.I.w in
     let min_w_set j s =
-      let best = ref C.infinity in
-      let row = inst.I.w.(j) in
-      BS.iter
-        (fun u ->
-          let c = row.(u) in
-          if C.compare c !best < 0 then best := c)
-        s;
-      !best
+      let order = w_order.(j) in
+      let p = ref 0 in
+      while not (BS.mem s order.(!p)) do
+        incr p
+      done;
+      inst.I.w.(j).(order.(!p))
     in
     let fill_dp s =
       let i = BH.find idx s in

@@ -13,10 +13,15 @@
     - {b dense} ([n <= dense_max_n]): the full [2^n] lattice in flat
       mask-indexed arrays, counting-sorted into popcount layers —
       no hashing, no enumeration recursion, layer-parallel on
-      {!Pool}. On clique-ish graphs, where the connected-subset
-      lattice degenerates to the full lattice, this beats
-      {!Ccp.Make.dp_connected}'s hash-indexed walk at matched [n]
-      (see the [conv] section of BENCH_qopt.json).
+      {!Pool}. This is the lattice DP ({!Lattice.Make.dense}, the
+      kernel of {!Opt.Make.dp_no_cartesian}) swept by rank, not the
+      fast subset convolution of arXiv 2409.08013, whose
+      super-polynomial gain is for the C_max cost, not [QO_N]. On
+      clique-ish graphs, where every subset is connected, it takes
+      less time than {!Ccp.Make.dp_connected} at matched [n] only
+      because it finds a subset's slot by its mask, not by a hash
+      lookup (single-shot timings in the [conv] section of
+      BENCH_qopt.json).
     - {b sparse} ([dense_max_n < n <= max_conv_n]): the convolution
       restricted to the connected-subset sublattice — every feasible
       prefix is connected, so all other lattice points carry the

@@ -43,6 +43,25 @@
     are unchanged. With [slack = 0] ({!Log_cost}: keys are the values)
     the key scan {e is} the all-exact scan, bit for bit.
 
+    {b Prune.} The key scan keeps the smallest key [best] and the
+    second smallest [second] (with multiplicity). A candidate's key is
+    [add_log2 d h] with [d] the key of [dp(S \ {j})] and [h] that of
+    [N(S \ {j}) * min_w(j, S \ {j})]. In IEEE round-to-nearest
+    [add_log2 d h >= max d h]: it is [max d h] when the other operand
+    is [neg_infinity], [infinity] when one is [infinity], and otherwise
+    [max d h] plus the nonnegative rounded [log1p (2^(lo - hi)) / ln 2],
+    and rounding a sum with a nonnegative addend never falls below the
+    other addend. So when [max d h >= second] the key is [>= second >=
+    best]: it is neither [< best] nor [< second], and the unpruned scan
+    would have left both unchanged. Such a candidate is skipped without
+    its [log1p]/[pow]; it still counts as a scanned transition. [best],
+    [second] and the winner are those of the full scan, and with them
+    [R] and the selection above.
+
+    {b min_w.} Each row of access-cost keys is stored in ascending key
+    order ({!row_order}), so [min_w(j, S)]'s key is that of the first
+    member of [S] in row [j]: the same value the ascending scan keeps.
+
     {b Exact values are lazy.} The exact [N(S)] (lowest-bit-first, as
     the all-exact kernel multiplied it) and [dp(S)] (following
     [parent]) are built on demand in sparse [Hashtbl] memos, so a run
@@ -65,19 +84,23 @@ let c_near_ties = Obs.counter "opt.dp.near_ties"
    way; only wall-clock changes. *)
 let par_min_n = 19
 
+(** [row_order cmp m]: for each row [j], the columns [0 .. n-1] in
+    ascending [cmp] order of [m.(j)], ties in column order — so the
+    first entry of row [j] that lies in a set [s] is the column the
+    ascending scan [if cmp c best < 0 then best := c] over [s] keeps. *)
+let row_order cmp m =
+  Array.map
+    (fun row ->
+      let a = Array.init (Array.length row) Fun.id in
+      Array.stable_sort (fun u v -> cmp row.(u) row.(v)) a;
+      a)
+    m
+
 module Make (C : Cost.S) = struct
   module I = Nl.Make (C)
 
   let lowest_bit m = m land -m
-
-  (* index of a single set bit: trailing-zero count by halving *)
-  let bit_index b =
-    let i = ref 0 and v = ref b in
-    while !v land 1 = 0 do
-      incr i;
-      v := !v lsr 1
-    done;
-    !i
+  let bit_index = Graphlib.Bitset.bit_index
 
   (** Adjacency as int masks (one word: [n <= 62]). *)
   let adjacency (inst : I.t) =
@@ -94,20 +117,29 @@ module Make (C : Cost.S) = struct
     slack : float;
     tkey : Float.Array.t;  (** size keys *)
     skey : Float.Array.t;  (** selectivity keys, row-major [n * n] *)
-    wkey : Float.Array.t;  (** access-cost keys, row-major [n * n] *)
+    wbit : int array;
+        (** row [j]: [1 lsl u] for every [u], in ascending order of
+            [u]'s access-cost key ({!row_order}), row-major [n * n] *)
+    wsorted : Float.Array.t;  (** the same keys in the same order *)
     nkey : Float.Array.t;  (** per slot: key of [N(S)] *)
     dkey : Float.Array.t;  (** per slot: key of [dp(S)] ([infinity]: none) *)
-    parent : int array;  (** per slot: last vertex of the best sequence *)
+    parent : Bytes.t;
+        (** per slot: last vertex of the best sequence, one byte ([n <= 62]) *)
     n_memo : (int, C.t) Hashtbl.t;
     dp_memo : (int, C.t) Hashtbl.t;
   }
 
-  (* a subset whose near-tie set awaits {!settle}; its [dkey] holds [m] *)
-  let pending = -2
+  (* [parent] markers: no candidate (its [dkey] is [infinity]), and a
+     subset whose near-tie set awaits {!settle} (its [dkey] holds [m]) *)
+  let none = 0xff
+  let pending = 0xfe
+  let set_parent t si v = Bytes.set_uint8 t.parent si (v land 0xff)
 
   let create (inst : I.t) ~adj ~slots ~slot =
     let n = I.n inst in
     let keys m = Float.Array.init (n * n) (fun i -> C.to_log2 m.(i / n).(i mod n)) in
+    let wkey = Array.map (Array.map C.to_log2) inst.I.w in
+    let order = row_order Float.compare wkey in
     let err = ref 0.0 and widest_w = ref 0.0 in
     for i = 0 to n - 1 do
       err := !err +. C.key_slack inst.I.sizes.(i);
@@ -125,10 +157,11 @@ module Make (C : Cost.S) = struct
         slack = 2.0 *. (!err +. !widest_w);
         tkey = Float.Array.init n (fun i -> C.to_log2 inst.I.sizes.(i));
         skey = keys inst.I.sel;
-        wkey = keys inst.I.w;
+        wbit = Array.init (n * n) (fun i -> 1 lsl order.(i / n).(i mod n));
+        wsorted = Float.Array.init (n * n) (fun i -> wkey.(i / n).(order.(i / n).(i mod n)));
         nkey = Float.Array.make slots 0.0;
         dkey = Float.Array.make slots Float.infinity;
-        parent = Array.make slots (-1);
+        parent = Bytes.make slots (Char.chr none);
         n_memo = Hashtbl.create 64;
         dp_memo = Hashtbl.create 64;
       }
@@ -136,7 +169,7 @@ module Make (C : Cost.S) = struct
     for v = 0 to n - 1 do
       let si = slot (1 lsl v) in
       Float.Array.set t.dkey si (C.to_log2 C.zero);
-      t.parent.(si) <- v
+      set_parent t si v
     done;
     t
 
@@ -165,16 +198,19 @@ module Make (C : Cost.S) = struct
   (** Key of [N(s)] into slot [si]; [N(s \ lowest)] must be filled. *)
   let fill_size t s si = Float.Array.set t.nkey si (size_key t s)
 
-  let min_w_key t j s =
-    let best = ref Float.infinity and m = ref s in
-    let row = j * t.n in
-    while !m <> 0 do
-      let b = lowest_bit !m in
-      let c = Float.Array.get t.wkey (row + bit_index b) in
-      if c < !best then best := c;
-      m := !m lxor b
+  (* position in row [j] of [wbit] / [wsorted] of the member of [s]
+     with the smallest access-cost key; [s] must be nonempty *)
+  let min_w_pos t j s =
+    let p = ref (j * t.n) in
+    while s land Array.unsafe_get t.wbit !p = 0 do
+      incr p
     done;
-    !best
+    !p
+
+  (** Smallest access-cost key [w(j, u)] over [u] in [s] ([infinity]
+      when [s] is empty). *)
+  let min_w_key t j s =
+    if s = 0 then Float.infinity else Float.Array.get t.wsorted (min_w_pos t j s)
 
   (* exact N(s), the all-exact kernel's lowest-bit-first product *)
   let rec n_exact t s =
@@ -215,7 +251,7 @@ module Make (C : Cost.S) = struct
       match Hashtbl.find_opt t.dp_memo s with
       | Some v -> v
       | None ->
-          let j = t.parent.(t.slot s) in
+          let j = Bytes.get_uint8 t.parent (t.slot s) in
           let v = exact_cand t j (s lxor (1 lsl j)) in
           Hashtbl.add t.dp_memo s v;
           v
@@ -259,14 +295,17 @@ module Make (C : Cost.S) = struct
     Obs.incr c_near_ties;
     Obs.add c_exact_candidates !priced;
     Float.Array.set t.dkey si !win_key;
-    t.parent.(si) <- !win;
+    set_parent t si !win;
     Hashtbl.replace t.dp_memo s !win_val
 
   (** Select the winner of subset [s] (slot [si], at least two members)
       by key; returns the number of candidates scanned. A candidate is
       [j] with [S \ {j}] in the table, finite, and (unless [cartesian])
-      joined to [j] by a predicate. With [defer] a subset that needs
-      exact pricing is left for {!settle}. *)
+      joined to [j] by a predicate. A candidate whose two summands'
+      larger key already reaches [second] is counted but not summed:
+      its key, at least that large, could move neither [best] nor
+      [second]. With [defer] a subset that needs exact pricing is left
+      for {!settle}. *)
   let fill t ~cartesian ~defer s si =
     let best = ref Float.infinity and second = ref Float.infinity and arg = ref (-1) in
     let trans = ref 0 in
@@ -279,13 +318,23 @@ module Make (C : Cost.S) = struct
         let ri = t.slot rest in
         if ri >= 0 && Float.Array.get t.dkey ri < Float.infinity then begin
           incr trans;
-          let k = cand_key t j rest ri in
-          if k < !best then begin
-            second := !best;
-            best := k;
-            arg := j
+          (* the prune: [add_log2 d h >= max d h] (see the header) *)
+          let d = Float.Array.get t.dkey ri in
+          if d < !second then begin
+            let h =
+              Logreal.mul_log2 (Float.Array.get t.nkey ri)
+                (Float.Array.get t.wsorted (min_w_pos t j rest))
+            in
+            if h < !second then begin
+              let k = Logreal.add_log2 d h in
+              if k < !best then begin
+                second := !best;
+                best := k;
+                arg := j
+              end
+              else if k < !second then second := k
+            end
           end
-          else if k < !second then second := k
         end
       end;
       rem := !rem lxor b
@@ -293,20 +342,21 @@ module Make (C : Cost.S) = struct
     if !arg >= 0 && t.slack > 0.0 && !second <= !best +. t.slack then begin
       if defer then begin
         Float.Array.set t.dkey si !best;
-        t.parent.(si) <- pending
+        set_parent t si pending
       end
       else resolve t ~cartesian s si !best
     end
     else begin
       Float.Array.set t.dkey si !best;
-      t.parent.(si) <- !arg
+      set_parent t si !arg
     end;
     !trans
 
   (** Resolve [s] if a deferred {!fill} left it pending. Sequential
       only. *)
   let settle t ~cartesian s si =
-    if t.parent.(si) = pending then resolve t ~cartesian s si (Float.Array.get t.dkey si)
+    if Bytes.get_uint8 t.parent si = pending then
+      resolve t ~cartesian s si (Float.Array.get t.dkey si)
 
   (** The exact optimum over [full] and its sequence, or
       [(C.infinity, [||])] when [full] has no finite value. *)
@@ -317,7 +367,7 @@ module Make (C : Cost.S) = struct
       let seq = Array.make t.n (-1) in
       let s = ref full in
       for pos = t.n - 1 downto 0 do
-        let j = t.parent.(t.slot !s) in
+        let j = Bytes.get_uint8 t.parent (t.slot !s) in
         seq.(pos) <- j;
         s := !s lxor (1 lsl j)
       done;

@@ -101,6 +101,30 @@ let prop_div_mul_inverse =
       Logreal.approx_equal ~tol:1e-9 x (Logreal.div (Logreal.mul x y) y)
       && Logreal.approx_equal ~tol:1e-9 (Logreal.inv (Logreal.inv x)) x)
 
+(* The exact kernels skip a candidate's [add_log2] when the larger
+   operand already reaches the runner-up key; that is sound only if the
+   rounded sum never falls below its larger operand. Operands mix
+   ordinary, subnormal, huge, signed-zero and infinite log2 values, so
+   the gaps range from 0 to beyond 2^1000. *)
+let prop_add_log2_dominates =
+  let special =
+    [ Float.neg_infinity; Float.infinity; 0.0; -0.0; Float.min_float; 4.9406564584124654e-324;
+      -4.9406564584124654e-324; Float.max_float; -.Float.max_float; 1e300; -1e300; 53.0; -53.0 ]
+  in
+  let operand =
+    QCheck2.Gen.(
+      frequency
+        [
+          (3, oneofl special);
+          (3, float_range (-1100.0) 1100.0);
+          (2, map (fun e -> ldexp 1.0 e) (int_range (-1074) (-1022)));
+          (2, map2 (fun x e -> ldexp x e) (float_range (-1.0) 1.0) (int_range (-1074) 1023));
+        ])
+  in
+  QCheck2.Test.make ~name:"add_log2 a b >= max a b (the prune's obligation)" ~count:2000
+    QCheck2.Gen.(pair operand operand)
+    (fun (a, b) -> Logreal.add_log2 a b >= Float.max a b && Logreal.add_log2 b a >= Float.max a b)
+
 let () =
   Alcotest.run "logreal"
     [
@@ -121,5 +145,6 @@ let () =
             prop_pow_laws;
             prop_compare_total_order;
             prop_div_mul_inverse;
+            prop_add_log2_dominates;
           ] );
     ]

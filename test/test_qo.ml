@@ -448,6 +448,16 @@ let prop_conv_parallel_equiv =
           && Logreal.compare sl.OL.cost pl.OL.cost = 0
           && sl.OL.seq = pl.OL.seq))
 
+(* The multi-word subset index must spread a chain's intervals: with a
+   hash that keeps the low bits of the top word, 1275 of chain n=62's
+   1953 subsets share one bucket. *)
+let test_ccp_words_buckets () =
+  let inst = Qo.Gen_inst.L.chain ~seed:3 ~n:62 () in
+  ignore (CCPL.dp_connected_words inst);
+  match List.assoc_opt "ccp.dp.idx_max_bucket" (Obs.snapshot ()) with
+  | None -> Alcotest.fail "ccp.dp.idx_max_bucket not set"
+  | Some b -> if b > 8 then Alcotest.failf "max bucket %d > 8" b
+
 (* Instances straddling the old single-word cap (n = 61): every solver
    that admits the size must produce the identical plan, and on chains
    (trees) the IK ordering cross-checks the optimum cost exactly. *)
@@ -988,6 +998,40 @@ let prop_key_slack_extreme =
   QCheck2.Test.make ~name:"|to_log2 - log2| <= key_slack on 30-digit rationals" ~count:300
     QCheck2.Gen.int (fun seed -> key_within_slack (big_rat (Random.State.make [| seed |]) 30))
 
+(* The lattice's sorted access-cost rows against the ascending scan
+   they replace: keys drawn from a small pool (so rows carry ties, and
+   [neg_infinity] / [infinity] keys), every row, random masks and the
+   empty mask. *)
+module LK = Qo.Lattice.Make (Qo.Log_cost)
+
+let prop_min_w_key_sorted =
+  QCheck2.Test.make ~name:"sorted-row min_w key = ascending scan (ties, ±inf, empty mask)"
+    ~count:300
+    QCheck2.Gen.(
+      int_range 1 10 >>= fun n ->
+      let pool = [ Float.neg_infinity; Float.infinity; 0.0; 1.0; 2.5; -3.0 ] in
+      pair (return n)
+        (pair
+           (array_size (return (n * n)) (oneofl pool))
+           (list_size (return 24) (int_bound ((1 lsl n) - 1)))))
+    (fun (n, (ws, masks)) ->
+      let w = Array.init n (fun j -> Array.init n (fun u -> Logreal.of_log2 ws.((j * n) + u))) in
+      let inst =
+        { NL.n; graph = Graphlib.Ugraph.create n; sel = Array.make_matrix n n Logreal.one;
+          sizes = Array.make n Logreal.one; w }
+      in
+      let t = LK.create inst ~adj:(Array.make n 0) ~slots:(1 lsl n) ~slot:Fun.id in
+      let scan j s =
+        let best = ref Float.infinity in
+        for u = 0 to n - 1 do
+          if s land (1 lsl u) <> 0 && ws.((j * n) + u) < !best then best := ws.((j * n) + u)
+        done;
+        !best
+      in
+      List.for_all
+        (fun s -> List.for_all (fun j -> LK.min_w_key t j s = scan j s) (List.init n Fun.id))
+        (0 :: masks))
+
 (* at the layer-parallel threshold: on a uniform rat chain every
    interval's two cartesian-free candidates tie exactly, so every subset
    of the optimal plan is a near-tie resolved in the sequential settle
@@ -1051,6 +1095,7 @@ let () =
           Alcotest.test_case "disconnected graph is infeasible" `Quick test_ccp_infeasible;
           Alcotest.test_case "csg counts on known families" `Quick test_csg_count;
           Alcotest.test_case "csg_count_bounded contract" `Quick test_csg_count_bounded;
+          Alcotest.test_case "multi-word index spreads chain n=62" `Quick test_ccp_words_buckets;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [
@@ -1080,7 +1125,13 @@ let () =
             test_filter_parallel_threshold;
         ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ prop_filter_shapes; prop_filter_ties; prop_filter_extreme; prop_key_slack_extreme ] );
+            [
+              prop_filter_shapes;
+              prop_filter_ties;
+              prop_filter_extreme;
+              prop_key_slack_extreme;
+              prop_min_w_key_sorted;
+            ] );
       ( "io",
         [
           Alcotest.test_case "parse errors" `Quick test_io_errors;
