@@ -19,6 +19,8 @@ let two : t = [| 2 |]
 
 let is_zero (a : t) = Array.length a = 0
 
+let one_limb (a : t) = match Array.length a with 0 -> 0 | 1 -> a.(0) | _ -> -1
+
 (* Drop trailing zero limbs. *)
 let normalize (a : int array) : t =
   let n = ref (Array.length a) in
@@ -44,10 +46,10 @@ let to_int_opt (a : t) =
   | 0 -> Some 0
   | 1 -> Some a.(0)
   | 2 -> Some (a.(0) lor (a.(1) lsl base_bits))
-  | 3 when a.(2) <= 1 ->
-      (* bit 62 is the top usable bit of a non-negative native int *)
-      Some (a.(0) lor (a.(1) lsl base_bits) lor (a.(2) lsl (2 * base_bits)))
-  | _ -> None
+  | _ ->
+      (* a third limb puts the value at 2^62 or above, past [max_int]:
+         bit 62 is a native int's sign bit *)
+      None
 
 let to_int_exn a =
   match to_int_opt a with
@@ -409,8 +411,9 @@ let log2 (a : t) =
   end
 
 let to_string (a : t) =
-  if is_zero a then "0"
-  else begin
+  match to_int_opt a with
+  | Some i -> string_of_int i
+  | None ->
     (* Peel 9 decimal digits at a time via division by 10^9 < 2^31. *)
     let chunk = 1_000_000_000 in
     let buf = Buffer.create 32 in
@@ -427,24 +430,31 @@ let to_string (a : t) =
         Buffer.add_string buf (string_of_int first);
         List.iter (fun p -> Buffer.add_string buf (Printf.sprintf "%09d" p)) rest);
     Buffer.contents buf
-  end
 
+(* Digits gather in a native int nine at a time (10^9 < 2^31 keeps
+   [mul_int] on its one-limb path), so a literal of at most nine
+   digits never touches limb arithmetic. *)
 let of_string s =
-  let n = String.length s in
-  if n = 0 then invalid_arg "Bignat.of_string: empty";
-  let acc = ref zero in
+  if String.length s = 0 then invalid_arg "Bignat.of_string: empty";
+  let acc = ref zero and chunk = ref 0 and scale = ref 1 in
   let seen_digit = ref false in
   String.iter
     (fun c ->
       match c with
       | '0' .. '9' ->
           seen_digit := true;
-          acc := add (mul_int !acc 10) (of_int (Char.code c - Char.code '0'))
+          if !scale = 1_000_000_000 then begin
+            acc := add (mul_int !acc !scale) (of_int !chunk);
+            chunk := 0;
+            scale := 1
+          end;
+          chunk := (!chunk * 10) + (Char.code c - Char.code '0');
+          scale := !scale * 10
       | '_' -> ()
       | _ -> invalid_arg "Bignat.of_string: not a digit")
     s;
   if not !seen_digit then invalid_arg "Bignat.of_string: no digits";
-  !acc
+  add (mul_int !acc !scale) (of_int !chunk)
 
 let pp fmt a =
   if num_bits a <= 64 then Format.pp_print_string fmt (to_string a)

@@ -26,6 +26,10 @@ val to_int_opt : t -> int option
 val to_int_exn : t -> int
 (** @raise Failure when the value does not fit a native [int]. *)
 
+val one_limb : t -> int
+(** [one_limb n] is [n] when [n < 2^31] (at most one limb), else [-1];
+    it allocates nothing, for native-int fast paths. *)
+
 val of_string : string -> t
 (** Parse a decimal string (optionally with [_] separators).
     @raise Invalid_argument on malformed input. *)

@@ -30,7 +30,18 @@ let make num den =
   | _ -> normalize (Bigint.neg num) (Bigint.magnitude den)
 
 let of_int i = { n = Bigint.of_int i; d = Bignat.one }
-let of_ints a b = make (Bigint.of_int a) (Bigint.of_int b)
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+(* Reduced in native ints; only [min_int], whose magnitude is no native
+   int, goes through [make]. *)
+let of_ints a b =
+  if a = min_int || b = min_int then make (Bigint.of_int a) (Bigint.of_int b)
+  else if b = 0 then raise Division_by_zero
+  else begin
+    let g = gcd_int (Stdlib.abs a) (Stdlib.abs b) in
+    let a = a / g and b = b / g in
+    { n = Bigint.of_int (if b < 0 then -a else a); d = Bignat.of_int (Stdlib.abs b) }
+  end
 let of_bigint n = { n; d = Bignat.one }
 let num t = t.n
 let den t = t.d
@@ -73,14 +84,28 @@ let add a b =
 let sub a b = add a (neg b)
 
 (* Knuth 4.5.1: cancel gcd(a.n, b.d) and gcd(b.n, a.d) before
-   multiplying; the product is then already in lowest terms. *)
+   multiplying; the product is then already in lowest terms. When every
+   part is below 2^31 the products fit a native int, so the same steps
+   run on ints. *)
 let mul a b =
   if is_zero a || is_zero b then zero
   else begin
-    let g1 = if is_one b.d then Bignat.one else Bignat.gcd (Bigint.magnitude a.n) b.d in
-    let g2 = if is_one a.d then Bignat.one else Bignat.gcd (Bigint.magnitude b.n) a.d in
-    let cut d g = if is_one g then d else Bignat.div d g in
-    { n = Bigint.mul (div_exact a.n g1) (div_exact b.n g2); d = dmul (cut a.d g2) (cut b.d g1) }
+    let an = Bignat.one_limb (Bigint.magnitude a.n) and ad = Bignat.one_limb a.d in
+    let bn = Bignat.one_limb (Bigint.magnitude b.n) and bd = Bignat.one_limb b.d in
+    if an > 0 && ad > 0 && bn > 0 && bd > 0 then begin
+      let g1 = gcd_int an bd and g2 = gcd_int bn ad in
+      let m = an / g1 * (bn / g2) in
+      {
+        n = Bigint.of_int (if Bigint.sign a.n = Bigint.sign b.n then m else -m);
+        d = Bignat.of_int (ad / g2 * (bd / g1));
+      }
+    end
+    else begin
+      let g1 = if is_one b.d then Bignat.one else Bignat.gcd (Bigint.magnitude a.n) b.d in
+      let g2 = if is_one a.d then Bignat.one else Bignat.gcd (Bigint.magnitude b.n) a.d in
+      let cut d g = if is_one g then d else Bignat.div d g in
+      { n = Bigint.mul (div_exact a.n g1) (div_exact b.n g2); d = dmul (cut a.d g2) (cut b.d g1) }
+    end
   end
 
 let div a b = mul a (inv b)
@@ -89,21 +114,27 @@ let pow t e =
   if e >= 0 then { n = Bigint.pow t.n e; d = Bignat.pow t.d e }
   else inv { n = Bigint.pow t.n (-e); d = Bignat.pow t.d (-e) }
 
-(* Sign first, then equal denominators, then magnitude: with
+(* Sign first. Then, when every part is below 2^31, cross-multiply in
+   native ints. Otherwise equal denominators, then magnitude: with
    e = bits(|num|) - bits(den), a positive value lies in
    (2^(e-1), 2^(e+1)), so exponents two or more apart decide without
-   allocating. Only the remaining cases cross-multiply. *)
+   allocating. Only the remaining cases cross-multiply in [Bigint]. *)
 let compare a b =
   let sa = Bigint.sign a.n and sb = Bigint.sign b.n in
   if sa <> sb then Stdlib.compare sa sb
   else if sa = 0 then 0
-  else if Bignat.equal a.d b.d then Bigint.compare a.n b.n
   else begin
-    let e q = Bignat.num_bits (Bigint.magnitude q.n) - Bignat.num_bits q.d in
-    let ea = e a and eb = e b in
-    if ea >= eb + 2 then sa
-    else if eb >= ea + 2 then -sa
-    else Bigint.compare (scale a.n b.d) (scale b.n a.d)
+    let an = Bignat.one_limb (Bigint.magnitude a.n) and ad = Bignat.one_limb a.d in
+    let bn = Bignat.one_limb (Bigint.magnitude b.n) and bd = Bignat.one_limb b.d in
+    if an > 0 && ad > 0 && bn > 0 && bd > 0 then sa * Int.compare (an * bd) (bn * ad)
+    else if Bignat.equal a.d b.d then Bigint.compare a.n b.n
+    else begin
+      let e q = Bignat.num_bits (Bigint.magnitude q.n) - Bignat.num_bits q.d in
+      let ea = e a and eb = e b in
+      if ea >= eb + 2 then sa
+      else if eb >= ea + 2 then -sa
+      else Bigint.compare (scale a.n b.d) (scale b.n a.d)
+    end
   end
 
 let equal a b = Bigint.equal a.n b.n && Bignat.equal a.d b.d

@@ -367,10 +367,11 @@ module Checks (D : DOMAIN) = struct
 
   let io_roundtrip (inst : I.t) =
     let s = D.dump inst in
-    match (try Ok (D.parse s) with Invalid_argument m -> Error m) with
+    match (try Ok (D.parse_canonical s) with Invalid_argument m -> Error m) with
     | Error m -> Fail ("dump does not parse back: " ^ m)
-    | Ok inst' ->
+    | Ok (inst', canonical) ->
         if D.dump inst' <> s then Fail "dump -> parse -> dump is not byte-identical"
+        else if canonical <> s then Fail "the parse's canonical text differs from the dump"
         else Pass
 
   let scale_monotone (inst : I.t) =

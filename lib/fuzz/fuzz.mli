@@ -66,7 +66,8 @@ val oracles : oracle list
     answered with valid schema-versioned snapshots without perturbing
     non-control bytes or stats), [relabel] (optimum
     invariant under vertex permutation), [io-roundtrip] (dump → parse →
-    dump byte-identity), [scale-monotone] (optimum does not decrease
+    dump byte-identity, and the parse's canonical text equals the
+    dump), [scale-monotone] (optimum does not decrease
     when all sizes and access costs scale up), [heuristic-bound]
     (greedy/II/SA plans are valid permutations, report their true cost,
     and never beat the exact optimum). Registry entrants beyond the

@@ -160,16 +160,20 @@ module Make (C : Cost.S) = struct
       Bitset.add x start;
       let size = ref inst.I.sizes.(start) in
       let total = ref C.zero in
+      (* N(X v): the intermediate size once v joins the prefix X *)
+      let grow v =
+        let s = ref (C.mul !size inst.I.sizes.(v)) in
+        Bitset.iter
+          (fun k -> if Bitset.mem x k then s := C.mul !s inst.I.sel.(v).(k))
+          (Ugraph.neighbors inst.I.graph v);
+        !s
+      in
       for d = 1 to n - 1 do
         let best_v = ref (-1) and best_key = ref C.infinity and best_h = ref C.infinity in
         for v = 0 to n - 1 do
           if not (Bitset.mem x v) then begin
             let h = C.mul !size (I.min_w inst x v) in
-            let s = ref (C.mul !size inst.I.sizes.(v)) in
-            Bitset.iter
-              (fun k -> if Bitset.mem x k then s := C.mul !s inst.I.sel.(v).(k))
-              (Ugraph.neighbors inst.I.graph v);
-            let key = match mode with Min_cost -> h | Min_size -> !s in
+            let key = match mode with Min_cost -> h | Min_size -> grow v in
             if C.compare key !best_key < 0 then begin
               best_key := key;
               best_v := v;
@@ -180,11 +184,7 @@ module Make (C : Cost.S) = struct
         let v = !best_v in
         seq.(d) <- v;
         total := C.add !total !best_h;
-        let s = ref (C.mul !size inst.I.sizes.(v)) in
-        Bitset.iter
-          (fun k -> if Bitset.mem x k then s := C.mul !s inst.I.sel.(v).(k))
-          (Ugraph.neighbors inst.I.graph v);
-        size := !s;
+        size := grow v;
         Bitset.add x v
       done;
       { cost = !total; seq }

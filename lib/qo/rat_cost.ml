@@ -43,7 +43,13 @@ let pow_int a e =
   | Fin x -> Fin (Bigq.pow x e)
   | Inf -> if e = 0 then one else Inf
 
+(* Physically equal operands compare equal without a look inside: the
+   parser shares one value between [sel.(i).(j)] and [sel.(j).(i)] and
+   between an off-edge [w.(i).(j)] and [sizes.(i)], so most of
+   [Nl.make]'s checks end here. *)
 let compare a b =
+  if a == b then 0
+  else
   match (a, b) with
   | Fin x, Fin y -> Bigq.compare x y
   | Fin _, Inf -> -1

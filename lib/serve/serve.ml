@@ -226,7 +226,7 @@ module Cache = struct
 
   (* The front map: raw request bytes -> the payload-determined verdict
      of prepare, so a byte-identical repeat skips parse, canonical
-     dump, MD5 and the budget estimate. It memoizes a pure function,
+     text, MD5 and the budget estimate. It memoizes a pure function,
      so its contents (and its races at jobs > 1) can never change a
      response byte or a total; the canonical table above stays the
      one source of hit/miss/eviction decisions. FIFO-bounded at the
@@ -554,7 +554,7 @@ type solved = { log2_cost : float; seq : int array }
 
 type engine = {
   e_n : int;
-  e_canonical : unit -> string;  (* domain-prefixed canonical dump: the cache-key basis *)
+  e_canonical : string;  (* domain-prefixed canonical text: the cache-key basis *)
   e_csg_bounded : limit:int -> int option;
   e_solve : Solver.entry -> string * solved;
   e_fallback : unit -> string * solved;
@@ -562,7 +562,7 @@ type engine = {
 
 module Engine (D : Solver.DOMAIN) = struct
   let make payload =
-    let inst = D.parse payload in
+    let inst, canonical = D.parse_canonical payload in
     let solved (p : D.O.plan) = { log2_cost = D.to_log2 p.D.O.cost; seq = p.D.O.seq } in
     let fallback () =
       let g = D.O.greedy ~mode:D.O.Min_cost inst in
@@ -572,7 +572,7 @@ module Engine (D : Solver.DOMAIN) = struct
     in
     {
       e_n = D.I.n inst;
-      e_canonical = (fun () -> D.name ^ "\n" ^ D.dump inst);
+      e_canonical = D.name ^ "\n" ^ canonical;
       e_csg_bounded = (fun ~limit -> D.Ccp.csg_count_bounded ~limit inst);
       e_solve =
         (fun e ->
@@ -735,7 +735,7 @@ let verdict_of cfg req payload =
         let key =
           Printf.sprintf "%s|%s|%s" (algo_name req.rq_algo)
             (if approximate then "approx" else "exact")
-            (Digest.to_hex (Digest.string (eng.e_canonical ())))
+            (Digest.to_hex (Digest.string eng.e_canonical))
         in
         (Cache.Task { key; approximate }, Some eng)
 

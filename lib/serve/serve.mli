@@ -48,7 +48,8 @@
     empty sequence, exactly like one-shot [qopt].
 
     Solved plans are cached under the canonical instance hash (the
-    MD5 digest of the {!Qo.Io} dump of the {e parsed} instance, so
+    MD5 digest of the {e parsed} instance's canonical text, byte-equal
+    to its {!Qo.Io} dump and produced by the parse itself, so
     formatting differences and comment lines do not defeat the cache),
     with LRU eviction. Cache hits return the stored response body
     byte-for-byte. In front of that canonical level sits a {e front
@@ -56,7 +57,7 @@
     [budget_ms] and the MD5 of the raw payload — that remembers what
     the payload decided: the canonical key with its exact/approximate
     verdict, or a [parse] / [too-large] rejection. A byte-identical
-    repeat therefore skips parsing, the canonical dump, its MD5 and
+    repeat therefore skips parsing, the canonical text, its MD5 and
     the budget estimate, and goes straight to the canonical lookup.
     The front map memoizes a pure function and is bounded at the
     cache capacity, so it never changes a response byte or a total:

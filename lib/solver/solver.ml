@@ -232,7 +232,7 @@ module type DOMAIN = sig
   module O : module type of struct include Qo.Opt.Make (C) end
   module Ccp : module type of struct include Qo.Ccp.Make (C) end
 
-  val parse : string -> I.t
+  val parse_canonical : string -> I.t * string
   val dump : I.t -> string
   val to_log2 : C.t -> float
   val solve : entry -> (?pool:Pool.t -> I.t -> O.plan) option
@@ -247,7 +247,7 @@ module Rat = struct
   module O = Qo.Instances.Opt_rat
   module Ccp = Qo.Instances.Ccp_rat
 
-  let parse = Qo.Io.parse_rat
+  let parse_canonical = Qo.Io.parse_rat_canonical
   let dump = Qo.Io.dump_rat
   let to_log2 = C.to_log2
   let solve e = Some e.solve_rat
@@ -262,7 +262,7 @@ module Log = struct
   module O = Qo.Instances.Opt_log
   module Ccp = Qo.Instances.Ccp_log
 
-  let parse = Qo.Io.parse_log
+  let parse_canonical = Qo.Io.parse_log_canonical
   let dump = Qo.Io.dump_log
   let to_log2 = C.to_log2
   let solve e = e.solve_log

@@ -96,8 +96,9 @@ module type DOMAIN = sig
   module O : module type of struct include Qo.Opt.Make (C) end
   module Ccp : module type of struct include Qo.Ccp.Make (C) end
 
-  val parse : string -> I.t
-  (** {!Qo.Io}'s parser for the domain. @raise Invalid_argument *)
+  val parse_canonical : string -> I.t * string
+  (** {!Qo.Io}'s parser for the domain: the instance and its canonical
+      text, byte-equal to [dump] of it. @raise Invalid_argument *)
 
   val dump : I.t -> string
   (** {!Qo.Io}'s canonical dump for the domain. *)

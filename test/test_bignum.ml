@@ -24,6 +24,30 @@ let test_basics () =
     "underscored literals" (Bignat.of_int 1_000_000)
     (Bignat.of_string "1_000_000")
 
+(* The native-int fast paths at their edges: [to_int_opt] at 2^62, where
+   a third limb begins and a native int would turn negative, and
+   [of_string] across its nine-digit chunks. *)
+let test_native_edges () =
+  let p62 = Bignat.pow Bignat.two 62 in
+  Alcotest.(check (option int)) "2^62 does not fit" None (Bignat.to_int_opt p62);
+  Alcotest.(check (option int)) "2^62 - 1 fits" (Some max_int)
+    (Bignat.to_int_opt (Bignat.sub p62 Bignat.one));
+  Alcotest.(check string) "2^62 prints" "4611686018427387904" (Bignat.to_string p62);
+  Alcotest.(check string) "2^63 prints" "9223372036854775808"
+    (Bignat.to_string (Bignat.mul p62 Bignat.two));
+  List.iter
+    (fun s ->
+      Alcotest.(check string) ("round trip " ^ s) s (Bignat.to_string (Bignat.of_string s)))
+    [ "0"; "7"; "999999999"; "1000000000"; "123456789012345678"; "1234567890123456789";
+      "1000000000000000000000000000" ];
+  Alcotest.(check nat) "leading zeros and '_' across a chunk" (Bignat.of_int 1_000_000_007)
+    (Bignat.of_string "000_000_000_001_000_000_007");
+  List.iter
+    (fun (s, msg) ->
+      Alcotest.check_raises s (Invalid_argument msg) (fun () -> ignore (Bignat.of_string s)))
+    [ ("", "Bignat.of_string: empty"); ("__", "Bignat.of_string: no digits");
+      ("1234567890x", "Bignat.of_string: not a digit") ]
+
 let test_mul_karatsuba () =
   (* force the Karatsuba path with ~40-limb operands *)
   let a = Bignat.pow (Bignat.of_int 1234567891) 40 in
@@ -348,6 +372,24 @@ let prop_bigq_vs_reference =
       && Int.compare (Bigq.compare a b) 0 = Int.compare (ref_compare a b) 0
       && Bigq.compare a a = 0)
 
+let prop_of_ints_vs_make =
+  QCheck2.Test.make ~name:"bigq of_ints (native reduction) = make on Bigints" ~count:500
+    ~print:(fun (a, b) -> Printf.sprintf "%d, %d" a b)
+    QCheck2.Gen.(
+      let edge = oneofl [ 0; 1; -1; max_int; min_int; min_int + 1; 1 lsl 31; -(1 lsl 31) ] in
+      let any = frequency [ (1, edge); (3, int_range (-1000) 1000); (3, int) ] in
+      pair any any)
+    (fun (a, b) ->
+      (* the same value, or the same exception (min_int has no Bigint) *)
+      let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e) in
+      match
+        (outcome (fun () -> Bigq.make (Bigint.of_int a) (Bigint.of_int b)), outcome (fun () -> Bigq.of_ints a b))
+      with
+      | Ok q, Ok r ->
+          normalized r && Bigint.equal (Bigq.num r) (Bigq.num q) && Bignat.equal (Bigq.den r) (Bigq.den q)
+      | Error x, Error y -> x = y
+      | _ -> false)
+
 let prop_gcd_vs_euclid =
   QCheck2.Test.make ~name:"gcd = plain Euclid on multi-limb operands" ~count:500
     QCheck2.Gen.(pair gen_mag gen_mag)
@@ -360,6 +402,7 @@ let qsuite =
       prop_mul_matches_native;
       prop_divmod_matches_native;
       prop_string_roundtrip;
+      prop_of_ints_vs_make;
       prop_divmod_recompose;
       prop_gcd;
       prop_mul_assoc_big;
@@ -381,6 +424,7 @@ let () =
       ( "bignat",
         [
           Alcotest.test_case "basics" `Quick test_basics;
+          Alcotest.test_case "native-int edges" `Quick test_native_edges;
           Alcotest.test_case "karatsuba mul" `Quick test_mul_karatsuba;
           Alcotest.test_case "knuth divmod" `Quick test_divmod_knuth;
           Alcotest.test_case "shifts and bits" `Quick test_shifts;

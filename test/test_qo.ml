@@ -1050,6 +1050,218 @@ let test_filter_parallel_threshold () =
   Alcotest.(check rc) "cost" s.OR_.cost p.OR_.cost;
   Alcotest.(check (array int)) "sequence" s.OR_.seq p.OR_.seq
 
+(* ------------- one-pass parser ≡ reference parser ------------- *)
+
+(* A dump rewritten the ways a hand-written or hostile file differs
+   from canonical text. Spellings that keep the instance: scalars with
+   leading zeros, '+' or '_', unreduced fractions; vertex ids with
+   leading zeros or in hex; edges written "j i" with wij and wji
+   swapped; doubled spaces, CRs and tabs at the line ends, blank and
+   comment lines, the data lines in any order (the n line after the
+   size lines included). Half the texts then get one hostile edit: a
+   zero denominator or another bad scalar, a bad vertex id, a tab
+   inside a line, a dropped or repeated line, or truncation. *)
+let mutate st text =
+  let pick k = Random.State.int st k in
+  let digit_start s = s <> "" && s.[0] >= '0' && s.[0] <= '9' in
+  let digits s = digit_start s && String.for_all (fun c -> c >= '0' && c <= '9') s in
+  let scaled s k = Bignum.Bigint.(to_string (mul_int (of_string s) k)) in
+  let scalar s =
+    let log = String.length s > 2 && String.sub s 0 2 = "2^" in
+    let x = if log then String.sub s 2 (String.length s - 2) else s in
+    match pick 10 with
+    | 0 when log && String.contains x '.' && not (String.contains x 'e') -> s ^ "0"
+    | 1 when log && x.[0] <> '-' -> "2^+" ^ x
+    | 0 when digit_start s -> "0" ^ s
+    | 1 when digit_start s -> "+" ^ s
+    | 2 when digit_start s && String.length s > 1 ->
+        String.sub s 0 1 ^ "_" ^ String.sub s 1 (String.length s - 1)
+    | 3 | 4 -> (
+        let k = 2 + pick 5 in
+        match String.index_opt s '/' with
+        | Some i
+          when digits (String.sub s 0 i) && digits (String.sub s (i + 1) (String.length s - i - 1))
+          ->
+            scaled (String.sub s 0 i) k ^ "/" ^ scaled (String.sub s (i + 1) (String.length s - i - 1)) k
+        | None when digits s -> scaled s k ^ "/" ^ string_of_int k
+        | _ -> s)
+    | 5 when digits s -> s ^ "/1"
+    | _ -> s
+  in
+  let vertex v =
+    match (pick 6, int_of_string_opt v) with
+    | 0, _ -> "0" ^ v
+    | 1, _ -> "+" ^ v
+    | 2, Some i -> Printf.sprintf "0x%x" i
+    | _ -> v
+  in
+  let spell l =
+    let l =
+      match String.split_on_char ' ' l with
+      | [ "size"; v; x ] -> String.concat " " [ "size"; vertex v; scalar x ]
+      | [ "edge"; i; j; "sel"; x; "wij"; a; "wji"; b ] ->
+          let i, j, a, b = if pick 3 = 0 then (j, i, b, a) else (i, j, a, b) in
+          String.concat " " [ "edge"; vertex i; vertex j; "sel"; scalar x; "wij"; scalar a; "wji"; scalar b ]
+      | [ "n"; v ] -> "n " ^ vertex v
+      | _ -> l
+    in
+    match pick 8 with
+    | 0 -> String.concat "  " (String.split_on_char ' ' l)
+    | 1 -> l ^ "\r"
+    | 2 -> "\t " ^ l ^ " \t"
+    | 3 -> l ^ "\n\n# a comment"
+    | _ -> l
+  in
+  let lines = String.split_on_char '\n' text |> List.filter (fun l -> l <> "") in
+  let lines = List.hd lines :: List.map spell (List.tl lines) in
+  let lines =
+    if pick 2 = 0 then lines
+    else begin
+      (* every data line in a random order, the header kept first *)
+      let a = Array.of_list (List.tl lines) in
+      for i = Array.length a - 1 downto 1 do
+        let j = pick (i + 1) in
+        let t = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- t
+      done;
+      List.hd lines :: Array.to_list a
+    end
+  in
+  let hostile_token l =
+    let toks = Array.of_list (String.split_on_char ' ' l) in
+    let k = pick (Array.length toks) in
+    toks.(k) <-
+      [| "1/0"; "0"; "-3"; "banana"; "2^nan"; "inf"; "99"; "-1"; "0/0"; "x1" |].(pick 10);
+    String.concat " " (Array.to_list toks)
+  in
+  let lines =
+    let nl = List.length lines in
+    let at = pick nl in
+    match pick 12 with
+    | 0 | 1 | 2 -> List.mapi (fun i l -> if i = at then hostile_token l else l) lines
+    | 3 -> List.mapi (fun i l -> if i = at then String.concat "\t" (String.split_on_char ' ' l) else l) lines
+    | 4 -> List.filteri (fun i _ -> i <> at) lines
+    | 5 -> lines @ [ List.nth lines at ]
+    | _ -> lines
+  in
+  let text = String.concat "\n" lines ^ "\n" in
+  if pick 12 = 0 then String.sub text 0 (pick (String.length text)) else text
+
+let outcome f text = try Ok (f text) with Invalid_argument m -> Error m
+
+(* Same message, or the same instance with canonical text equal to its
+   dump, which itself equals the reference dump. *)
+let parses_like ~reference ~parse ~dump ~ref_dump ~equal text =
+  match (outcome reference text, outcome parse text) with
+  | Error a, Error b -> a = b
+  | Ok r, Ok (i, canonical) -> equal r i && canonical = dump i && dump i = ref_dump i
+  | _ -> false
+
+let same_instance ~n ~graph ~sizes ~sel ~w ~eq a b =
+  let all2 f x y = Array.for_all2 f x y in
+  n a = n b
+  && Graphlib.Ugraph.edges (graph a) = Graphlib.Ugraph.edges (graph b)
+  && all2 eq (sizes a) (sizes b)
+  && all2 (all2 eq) (sel a) (sel b)
+  && all2 (all2 eq) (w a) (w b)
+
+let same_rat =
+  same_instance ~n:NR.n ~graph:(fun i -> i.NR.graph) ~sizes:(fun i -> i.NR.sizes)
+    ~sel:(fun i -> i.NR.sel) ~w:(fun i -> i.NR.w) ~eq:RC.equal
+
+let same_log =
+  same_instance ~n:NL.n ~graph:(fun i -> i.NL.graph) ~sizes:(fun i -> i.NL.sizes)
+    ~sel:(fun i -> i.NL.sel) ~w:(fun i -> i.NL.w)
+    ~eq:(fun a b -> Float.equal (Logreal.to_log2 a) (Logreal.to_log2 b))
+
+let gen_parse_case =
+  QCheck2.Gen.(
+    let* inst = oneof [ gen_shape_instance; gen_extreme_instance ] in
+    let* log = bool in
+    let* seed = int_bound 1_000_000 in
+    let text =
+      if log then Qo.Io.dump_log (Qo.Instances.log_of_rat inst) else Qo.Io.dump_rat inst
+    in
+    let st = Random.State.make [| seed |] in
+    return (log, if seed mod 5 = 0 then text else mutate st text))
+
+let prop_parse_differential =
+  QCheck2.Test.make ~name:"one-pass parse ≡ reference parse on mutated dumps (both domains)"
+    ~count:1500
+    ~print:(fun (log, text) -> Printf.sprintf "%s\n%S" (if log then "log" else "rat") text)
+    gen_parse_case
+    (fun (log, text) ->
+      if log then
+        parses_like ~reference:Reference.Io.parse_log ~parse:Qo.Io.parse_log_canonical
+          ~dump:Qo.Io.dump_log ~ref_dump:Reference.Io.dump_log ~equal:same_log text
+      else
+        parses_like ~reference:Reference.Io.parse_rat ~parse:Qo.Io.parse_rat_canonical
+          ~dump:Qo.Io.dump_rat ~ref_dump:Reference.Io.dump_rat ~equal:same_rat text)
+
+(* The mutations above must reach both outcomes and the interesting
+   accepted forms, or the differential property proves little. *)
+let test_parse_differential_reach () =
+  let st = Random.State.make [| 11 |] in
+  let ok = ref 0 and err = ref 0 and rewritten = ref 0 in
+  for seed = 0 to 399 do
+    let inst = Qo.Gen_inst.R.random ~seed ~n:(2 + (seed mod 7)) ~p:0.6 () in
+    let text = Qo.Io.dump_rat inst in
+    let m = mutate st text in
+    match Qo.Io.parse_rat_canonical m with
+    | _, canonical ->
+        incr ok;
+        if m <> canonical then incr rewritten
+    | exception Invalid_argument _ -> incr err
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "accepted %d (%d rewritten), rejected %d" !ok !rewritten !err)
+    true
+    (!ok > 40 && !rewritten > 20 && !err > 40)
+
+let test_parse_zero_denominator () =
+  Alcotest.check_raises "1/0 is a line-numbered scalar error"
+    (Invalid_argument "Qo.Io.parse: line 3: invalid scalar \"1/0\"") (fun () ->
+      ignore (Qo.Io.parse_rat "qon 1\nn 1\nsize 0 1/0\n"));
+  Alcotest.check_raises "in an edge too"
+    (Invalid_argument "Qo.Io.parse: line 5: invalid scalar \"7/0\"") (fun () ->
+      ignore
+        (Qo.Io.parse_rat "qon 1\nn 2\nsize 0 7\nsize 1 7\nedge 0 1 sel 1/2 wij 7/0 wji 7\n"))
+
+(* Text that is already canonical comes back byte for byte; other
+   spellings of the same instance come back as its dump. *)
+let test_parse_canonical_text () =
+  let canonical = "qon 1\nn 2\nsize 0 12\nsize 1 7\nedge 0 1 sel 2/3 wij 12 wji 7\n" in
+  let inst, text = Qo.Io.parse_rat_canonical canonical in
+  Alcotest.(check string) "copy-through" canonical text;
+  Alcotest.(check string) "equals the dump" (Qo.Io.dump_rat inst) text;
+  let spelled =
+    "# a comment\nqon 1\nsize 1 +7\r\nsize 0 012\nedge 1 0 sel 4/6 wij  7 wji 1_2\nn 0x2\n"
+  in
+  Alcotest.(check string) "normalized" canonical (snd (Qo.Io.parse_rat_canonical spelled))
+
+(* ------------- greedy ≡ its loop before the dead product went ------------- *)
+
+module GR = Reference.Greedy (Qo.Rat_cost)
+module GL = Reference.Greedy (Qo.Log_cost)
+
+let prop_greedy_reference =
+  QCheck2.Test.make ~name:"greedy ≡ reference loop (both modes, both domains)" ~count:80
+    gen_shape_instance (fun inst ->
+      let li = Qo.Instances.log_of_rat inst in
+      let rat mode rmode =
+        let p = OR_.greedy ~mode inst and c, s = GR.greedy ~mode:rmode inst in
+        RC.equal p.OR_.cost c && p.OR_.seq = s
+      in
+      let log mode rmode =
+        let p = OL.greedy ~mode li and c, s = GL.greedy ~mode:rmode li in
+        Qo.Log_cost.equal p.OL.cost c && p.OL.seq = s
+      in
+      rat OR_.Min_cost GR.Min_cost
+      && rat OR_.Min_size GR.Min_size
+      && log OL.Min_cost GL.Min_cost
+      && log OL.Min_size GL.Min_size)
+
 let () =
   Alcotest.run "qo"
     [
@@ -1066,6 +1278,7 @@ let () =
             prop_heuristics_upper_bound;
             prop_dp_no_cartesian_dominates;
             prop_dp_plan_cost_consistent;
+            prop_greedy_reference;
           ] );
       ( "iterative improvement",
         [ Alcotest.test_case "apply_move semantics" `Quick test_apply_move ]
@@ -1140,9 +1353,13 @@ let () =
           Alcotest.test_case "hostile n lines" `Quick test_io_hostile_n;
           Alcotest.test_case "pathologically long scalar" `Quick test_io_long_scalar;
           Alcotest.test_case "non-finite log scalars" `Quick test_io_nonfinite_log;
+          Alcotest.test_case "zero denominator" `Quick test_parse_zero_denominator;
+          Alcotest.test_case "canonical text" `Quick test_parse_canonical_text;
+          Alcotest.test_case "mutations reach both outcomes" `Quick test_parse_differential_reach;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [
+              prop_parse_differential;
               prop_io_rat_roundtrip;
               prop_io_log_roundtrip;
               prop_io_rat_file_roundtrip;

@@ -718,6 +718,49 @@ let test_front_rejections_counted () =
   Alcotest.(check int) "every too-large counted" 3 st.Serve.totals.rejected;
   Alcotest.(check int) "every parse error counted" 3 st.Serve.totals.errors
 
+(* A zero denominator is a parse error of its own request. It used to
+   escape the parser as [Division_by_zero], which turned every request
+   of its batch into a code=solver error under its ordinal id. A
+   repeat is memoized like any other rejection. *)
+let test_zero_denominator_isolated () =
+  let bad = "qon 1\nn 2\nsize 0 1/0\nsize 1 20\n" in
+  let ids = [ "a"; "b"; "c"; "bad"; "e"; "f"; "g" ] in
+  let input =
+    String.concat ""
+      (List.map
+         (fun id ->
+           request
+             ~header:(Printf.sprintf "request id=%s algo=dp" id)
+             (if id = "bad" then bad else inst2))
+         ids)
+  in
+  let config = { Serve.default_config with Serve.batch_size = 8 } in
+  let seq_out, _ = Serve.serve_string ~config input in
+  let out, st =
+    Pool.with_pool ~jobs:2 (fun pool -> Serve.serve_string ~pool ~config input)
+  in
+  Alcotest.(check string) "jobs 2 = sequential" seq_out out;
+  let headers = List.map List.hd (blocks out) in
+  List.iter2
+    (fun id hdr ->
+      if id = "bad" then
+        Alcotest.(check string) "the bad request is a parse error under its id"
+          "response id=bad status=error code=parse" hdr
+      else
+        Alcotest.(check bool) (id ^ " stays ok under its own id") true
+          (contains hdr (Printf.sprintf "response id=%s status=ok" id)))
+    ids headers;
+  Alcotest.(check bool) "line-numbered message" true
+    (contains out "error: Qo.Io.parse: line 3: invalid scalar \"1/0\"");
+  Alcotest.(check int) "six ok" 6 st.Serve.totals.ok;
+  Alcotest.(check int) "one error" 1 st.Serve.totals.errors;
+  let (_, _), hits =
+    front_hits (fun () ->
+        Serve.serve_string
+          (request ~header:"request id=x algo=dp" bad ^ request ~header:"request id=y algo=dp" bad))
+  in
+  Alcotest.(check int) "the repeat is a front-map hit" 1 hits
+
 (* The front map holds at most [capacity] entries, read from its gauge
    after every response. *)
 let test_front_bounded () =
@@ -1070,6 +1113,8 @@ let () =
           Alcotest.test_case "memoized rejections counted" `Quick
             test_front_rejections_counted;
           Alcotest.test_case "bounded at capacity" `Quick test_front_bounded;
+          Alcotest.test_case "zero denominator isolated in its batch" `Quick
+            test_zero_denominator_isolated;
         ] );
       ( "lifecycle",
         [
