@@ -11,17 +11,21 @@ let minus_one = { sg = -1; mag = Bignat.one }
 
 let of_nat n = make 1 n
 
+(* |min_int| = max_int + 1: [-min_int] overflows back to [min_int] *)
+let min_int_mag = Bignat.succ (Bignat.of_int max_int)
+
 let of_int i =
   if i = 0 then zero
   else if i > 0 then { sg = 1; mag = Bignat.of_int i }
+  else if i = min_int then { sg = -1; mag = min_int_mag }
   else { sg = -1; mag = Bignat.of_int (-i) }
 
 let to_nat_opt t = if t.sg < 0 then None else Some t.mag
 
 let to_int_opt t =
   match Bignat.to_int_opt t.mag with
-  | Some m -> if t.sg >= 0 then Some m else if m <= max_int then Some (-m) else None
-  | None -> None
+  | Some m -> Some (if t.sg >= 0 then m else -m)
+  | None -> if t.sg < 0 && Bignat.equal t.mag min_int_mag then Some min_int else None
 
 let sign t = t.sg
 let magnitude t = t.mag

@@ -7,11 +7,15 @@ val one : t
 val minus_one : t
 
 val of_int : int -> t
+(** Total: [of_int min_int] is [-2^62] on 63-bit ints. *)
+
 val of_nat : Bignat.t -> t
 val to_nat_opt : t -> Bignat.t option
 (** [None] when negative. *)
 
 val to_int_opt : t -> int option
+(** [None] outside [[min_int, max_int]]. *)
+
 val of_string : string -> t
 val to_string : t -> string
 

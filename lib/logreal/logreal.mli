@@ -56,6 +56,22 @@ val add_log2 : float -> float -> float
 (** {!mul} and {!add} on raw log2 values: the same operations, for
     callers that keep log2 estimates in unboxed [Float.Array]s. *)
 
+val add_log2_lower : float -> float -> float
+val add_log2_upper : float -> float -> float
+(** Certified bounds of {!add_log2} from a table lookup, without a libm
+    call: [add_log2_lower a b <= add_log2 a b <= add_log2_upper a b] for
+    all non-NaN [a], [b], infinities included.
+
+    [add_log2 a b] is [hi +. g] with [hi = max a b] and [g] the computed
+    [log2 (1 + 2^(-x))], [x = |a - b|]. Gaps below 64 fall in cells of
+    width 1/32; the bounds are [hi +. L] and [hi +. U], where [U] is the
+    correction at the cell's left end and [L] that at its right end,
+    each moved outward by a relative margin of [2^-40], enough for any
+    libm error in [pow] and [log1p] up to thousands of ulps. Larger gaps
+    share a tail cell with [L = 0] and [U] the correction at 64. Adding
+    to [hi] rounds monotonically, so no margin on the sum is needed,
+    whatever [|hi|]. The window [U - L] is at most [1/64 + 2^-40]. *)
+
 val sub : t -> t -> t
 (** [sub a b] for [a >= b]; clamps small negative residues to {!zero}.
     @raise Invalid_argument when [b > a] beyond float tolerance. *)

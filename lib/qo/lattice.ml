@@ -27,7 +27,8 @@
     of its exact value.
 
     {b Selection, per subset.} Let [m] be the smallest candidate key and
-    [R] the candidates with key [<= m + slack].
+    [R] the candidates with key [<= m + slack] (found by the window
+    below).
     - If [|R| = 1] or [slack = 0], the first member of [R] wins and no
       exact value is built.
     - Otherwise the members of [R] are priced exactly, in ascending bit
@@ -43,20 +44,42 @@
     are unchanged. With [slack = 0] ({!Log_cost}: keys are the values)
     the key scan {e is} the all-exact scan, bit for bit.
 
-    {b Prune.} The key scan keeps the smallest key [best] and the
-    second smallest [second] (with multiplicity). A candidate's key is
-    [add_log2 d h] with [d] the key of [dp(S \ {j})] and [h] that of
-    [N(S \ {j}) * min_w(j, S \ {j})]. In IEEE round-to-nearest
-    [add_log2 d h >= max d h]: it is [max d h] when the other operand
-    is [neg_infinity], [infinity] when one is [infinity], and otherwise
-    [max d h] plus the nonnegative rounded [log1p (2^(lo - hi)) / ln 2],
-    and rounding a sum with a nonnegative addend never falls below the
-    other addend. So when [max d h >= second] the key is [>= second >=
-    best]: it is neither [< best] nor [< second], and the unpruned scan
-    would have left both unchanged. Such a candidate is skipped without
-    its [log1p]/[pow]; it still counts as a scanned transition. [best],
-    [second] and the winner are those of the full scan, and with them
-    [R] and the selection above.
+    {b Window.} The scan finds [m] and [R] in two passes and sums with
+    libm only the candidates whose bounds reach within [slack] of the
+    smallest upper bound: on most subsets one. A candidate's key is
+    [add_log2 d h], [d] the key of [dp(S \ {j})] and [h] that of
+    [N(S \ {j}) * min_w(j, S \ {j})]; {!Logreal.add_log2_lower} and
+    [add_log2_upper] bracket it, [lb <= key <= ub], from a table.
+    - Pass 1 bounds every candidate. [U] is the smallest [ub] so far;
+      a candidate joins the window mask when its [lb <= U + slack] at
+      that moment, and its [d], [h] go to a per-domain scratch array.
+      A candidate with [d] or [h] above [U + slack] is cut before the
+      table lookup, and one with [d] above it before [min_w]: the key
+      is at least [max d h] (see {!Logreal.add_log2_lower}).
+    - Pass 2 walks the mask in ascending bit order with the final [U].
+      A member whose [lb > U + slack] is skipped; the others are summed
+      exactly and kept under the first-strict-improvement rule, as are
+      [best] and [second]. The candidate that set [U], and any member
+      with bit-identical [d] and [h] (an exact tie, as on [f_N]), reuse
+      one sum.
+
+    Why this is exact: a candidate outside the window has
+    [key >= lb > U' + slack >= U + slack] for the [U'] current when it
+    was cut, and [U >= m] since the candidate that set [U] has key
+    [<= U]. So its key exceeds [m + slack] (the same float sums): it is
+    neither the first minimum nor in [R], and leaving it out changes
+    neither [best], nor whether [second <= best + slack], nor the
+    winner. Every stored key is the same [add_log2] of the same
+    operands, so the log domain stays bit-identical too.
+
+    Margins: with [hi = max d h], the bounds are [hi +. tlo] and
+    [hi +. thi] for table entries [tlo <= g <= thi] around the computed
+    correction [g] (the table's relative margin covers libm's error in
+    [pow] / [log1p] at both the table entry and [g]); rounding [hi + x]
+    is monotone in [x], so the sums keep the order at any [|hi|], and
+    no margin scales with it. The tests pin the bracket at the table's
+    cell edges and one ulp either side, and the window against a plain
+    scan on keys crowded within a few cells.
 
     {b min_w.} Each row of access-cost keys is stored in ascending key
     order ({!row_order}), so [min_w(j, S)]'s key is that of the first
@@ -75,6 +98,12 @@
 
 let c_exact_candidates = Obs.counter "opt.dp.exact_candidates"
 let c_near_ties = Obs.counter "opt.dp.near_ties"
+let c_exact_adds = Obs.counter "opt.dp.exact_adds"
+
+(* Scratch of {!Make.fill}: the summands of candidate [j]'s key at [2j]
+   and [2j + 1] ([j < 64]). Per domain, since a layer-parallel sweep
+   fills one table from several. *)
+let summands = Domain.DLS.new_key (fun () -> Float.Array.make 128 0.0)
 
 (* Work threshold for the layer-parallel path of {!Make.dense}. Below it
    the per-layer fan-out/join overhead exceeds the work it spreads —
@@ -259,10 +288,14 @@ module Make (C : Cost.S) = struct
   (* exact dp(rest) + N(rest) * min_w(j, rest) *)
   and exact_cand t j rest = C.add (dp_exact t rest) (C.mul (n_exact t rest) (min_w_exact t j rest))
 
-  (* the same candidate by key; [ri] is the slot of [rest] *)
-  let[@inline] cand_key t j rest ri =
-    Logreal.add_log2 (Float.Array.get t.dkey ri)
-      (Logreal.mul_log2 (Float.Array.get t.nkey ri) (min_w_key t j rest))
+  (* key of N(rest) * min_w(j, rest); [ri] is the slot of [rest] *)
+  let[@inline] cand_h t j rest ri =
+    Logreal.mul_log2 (Float.Array.get t.nkey ri) (Float.Array.get t.wsorted (min_w_pos t j rest))
+
+  let[@inline] same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+  (* the same candidate's key *)
+  let[@inline] cand_key t j rest ri = Logreal.add_log2 (Float.Array.get t.dkey ri) (cand_h t j rest ri)
 
   (* price the near-tie set of [s] (keys <= m + slack) exactly, in
      ascending bit order, first strict improvement wins *)
@@ -301,14 +334,19 @@ module Make (C : Cost.S) = struct
   (** Select the winner of subset [s] (slot [si], at least two members)
       by key; returns the number of candidates scanned. A candidate is
       [j] with [S \ {j}] in the table, finite, and (unless [cartesian])
-      joined to [j] by a predicate. A candidate whose two summands'
-      larger key already reaches [second] is counted but not summed:
-      its key, at least that large, could move neither [best] nor
-      [second]. With [defer] a subset that needs exact pricing is left
-      for {!settle}. *)
+      joined to [j] by a predicate. The scan runs in two passes (the
+      window, see the header): the first bounds every candidate's key
+      without libm, the second sums exactly only the candidates whose
+      lower bound is within [slack] of the smallest upper bound. With
+      [defer] a subset that needs exact pricing is left for {!settle}. *)
   let fill t ~cartesian ~defer s si =
-    let best = ref Float.infinity and second = ref Float.infinity and arg = ref (-1) in
+    let sum = Domain.DLS.get summands in
     let trans = ref 0 in
+    (* pass 1: [u] the smallest upper bound, [uj] its candidate, [win]
+       every candidate whose lower bound was within [slack] of [u] when
+       it was scanned, with its summands in [sum] *)
+    let u = ref Float.infinity and uj = ref (-1) in
+    let win = ref 0 in
     let rem = ref s in
     while !rem <> 0 do
       let b = lowest_bit !rem in
@@ -318,27 +356,59 @@ module Make (C : Cost.S) = struct
         let ri = t.slot rest in
         if ri >= 0 && Float.Array.get t.dkey ri < Float.infinity then begin
           incr trans;
-          (* the prune: [add_log2 d h >= max d h] (see the header) *)
+          let cut = !u +. t.slack in
+          (* the lower bound is at least [max d h] *)
           let d = Float.Array.get t.dkey ri in
-          if d < !second then begin
-            let h =
-              Logreal.mul_log2 (Float.Array.get t.nkey ri)
-                (Float.Array.get t.wsorted (min_w_pos t j rest))
-            in
-            if h < !second then begin
-              let k = Logreal.add_log2 d h in
-              if k < !best then begin
-                second := !best;
-                best := k;
-                arg := j
+          if d <= cut then begin
+            let h = cand_h t j rest ri in
+            if h <= cut && Logreal.add_log2_lower d h <= cut then begin
+              win := !win lor b;
+              Float.Array.unsafe_set sum (2 * j) d;
+              Float.Array.unsafe_set sum ((2 * j) + 1) h;
+              let ub = Logreal.add_log2_upper d h in
+              if ub < !u then begin
+                u := ub;
+                uj := j
               end
-              else if k < !second then second := k
             end
           end
         end
       end;
       rem := !rem lxor b
     done;
+    (* pass 2: exact keys of the members still within [slack] of the
+       final [u], ascending, first strict improvement; a member whose
+       summands are bit-identical to [u]'s candidate's (an exact tie)
+       reuses its key *)
+    let best = ref Float.infinity and second = ref Float.infinity and arg = ref (-1) in
+    if !uj >= 0 then begin
+      let cut = !u +. t.slack in
+      let ud = Float.Array.unsafe_get sum (2 * !uj) and uh = Float.Array.unsafe_get sum ((2 * !uj) + 1) in
+      let uk = Logreal.add_log2 ud uh in
+      let adds = ref 1 in
+      let rem = ref !win in
+      while !rem <> 0 do
+        let b = lowest_bit !rem in
+        let j = bit_index b in
+        let d = Float.Array.unsafe_get sum (2 * j) and h = Float.Array.unsafe_get sum ((2 * j) + 1) in
+        let k =
+          if same d ud && same h uh then uk
+          else if Logreal.add_log2_lower d h <= cut then begin
+            incr adds;
+            Logreal.add_log2 d h
+          end
+          else Float.infinity
+        in
+        if k < !best then begin
+          second := !best;
+          best := k;
+          arg := j
+        end
+        else if k < !second then second := k;
+        rem := !rem lxor b
+      done;
+      Obs.add c_exact_adds !adds
+    end;
     if !arg >= 0 && t.slack > 0.0 && !second <= !best +. t.slack then begin
       if defer then begin
         Float.Array.set t.dkey si !best;

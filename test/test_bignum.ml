@@ -145,6 +145,18 @@ let test_bigint_signs () =
   Alcotest.(check string) "to_string" "-17" (Bigint.to_string a);
   Alcotest.(check bigint) "of_string neg" a (Bigint.of_string "-17")
 
+(* min_int has no positive counterpart: its magnitude is built without
+   negating it *)
+let test_bigint_min_int () =
+  let m = Bigint.of_int min_int in
+  Alcotest.(check string) "to_string" (string_of_int min_int) (Bigint.to_string m);
+  Alcotest.(check bigint) "of_string round trip" m (Bigint.of_string (Bigint.to_string m));
+  Alcotest.(check bigint) "-2^62" (Bigint.neg (Bigint.of_nat (Bignat.shift_left Bignat.one 62))) m;
+  Alcotest.(check (option int)) "to_int_opt" (Some min_int) (Bigint.to_int_opt m);
+  Alcotest.(check (option int)) "2^62 overflows" None (Bigint.to_int_opt (Bigint.neg m));
+  Alcotest.(check bigint) "min_int + 1" (Bigint.add m Bigint.one) (Bigint.of_int (min_int + 1));
+  Alcotest.(check string) "of_ints" (Bigint.to_string m) (Bigq.to_string (Bigq.of_ints min_int 1))
+
 let prop_bigint_ring =
   QCheck2.Test.make ~name:"bigint ring laws vs native" ~count:500
     QCheck2.Gen.(triple (int_range (-10000) 10000) (int_range (-10000) 10000) (int_range (-10000) 10000))
@@ -380,14 +392,15 @@ let prop_of_ints_vs_make =
       let any = frequency [ (1, edge); (3, int_range (-1000) 1000); (3, int) ] in
       pair any any)
     (fun (a, b) ->
-      (* the same value, or the same exception (min_int has no Bigint) *)
+      (* the same value (min_int is -2^62 on both paths), or the same
+         division by zero *)
       let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e) in
       match
         (outcome (fun () -> Bigq.make (Bigint.of_int a) (Bigint.of_int b)), outcome (fun () -> Bigq.of_ints a b))
       with
       | Ok q, Ok r ->
           normalized r && Bigint.equal (Bigq.num r) (Bigq.num q) && Bignat.equal (Bigq.den r) (Bigq.den q)
-      | Error x, Error y -> x = y
+      | Error x, Error y -> b = 0 && x = y
       | _ -> false)
 
 let prop_gcd_vs_euclid =
@@ -431,7 +444,10 @@ let () =
           Alcotest.test_case "sqrt and log2" `Quick test_sqrt_log2;
         ] );
       ( "bigint",
-        [ Alcotest.test_case "signs and euclidean division" `Quick test_bigint_signs ] );
+        [
+          Alcotest.test_case "signs and euclidean division" `Quick test_bigint_signs;
+          Alcotest.test_case "min_int" `Quick test_bigint_min_int;
+        ] );
       ("bigq", [ Alcotest.test_case "basics" `Quick test_bigq_basics ]);
       ( "fixed",
         [

@@ -101,29 +101,83 @@ let prop_div_mul_inverse =
       Logreal.approx_equal ~tol:1e-9 x (Logreal.div (Logreal.mul x y) y)
       && Logreal.approx_equal ~tol:1e-9 (Logreal.inv (Logreal.inv x)) x)
 
-(* The exact kernels skip a candidate's [add_log2] when the larger
-   operand already reaches the runner-up key; that is sound only if the
-   rounded sum never falls below its larger operand. Operands mix
-   ordinary, subnormal, huge, signed-zero and infinite log2 values, so
-   the gaps range from 0 to beyond 2^1000. *)
-let prop_add_log2_dominates =
+(* log2 operands mixing ordinary, subnormal, huge, signed-zero and
+   infinite values, so the gaps range from 0 to beyond 2^1000 *)
+let operand =
   let special =
     [ Float.neg_infinity; Float.infinity; 0.0; -0.0; Float.min_float; 4.9406564584124654e-324;
       -4.9406564584124654e-324; Float.max_float; -.Float.max_float; 1e300; -1e300; 53.0; -53.0 ]
   in
-  let operand =
-    QCheck2.Gen.(
-      frequency
-        [
-          (3, oneofl special);
-          (3, float_range (-1100.0) 1100.0);
-          (2, map (fun e -> ldexp 1.0 e) (int_range (-1074) (-1022)));
-          (2, map2 (fun x e -> ldexp x e) (float_range (-1.0) 1.0) (int_range (-1074) 1023));
-        ])
-  in
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, oneofl special);
+        (3, float_range (-1100.0) 1100.0);
+        (2, map (fun e -> ldexp 1.0 e) (int_range (-1074) (-1022)));
+        (2, map2 (fun x e -> ldexp x e) (float_range (-1.0) 1.0) (int_range (-1074) 1023));
+      ])
+
+(* The exact kernels prune a candidate from the window when its larger
+   operand already passes the cut; that is sound only if the rounded sum
+   never falls below its larger operand. *)
+let prop_add_log2_dominates =
   QCheck2.Test.make ~name:"add_log2 a b >= max a b (the prune's obligation)" ~count:2000
     QCheck2.Gen.(pair operand operand)
     (fun (a, b) -> Logreal.add_log2 a b >= Float.max a b && Logreal.add_log2 b a >= Float.max a b)
+
+(* [add] before [Float.log 2.0] was hoisted out of it, verbatim *)
+let old_add (a : float) (b : float) : float =
+  if a = neg_infinity then b
+  else if b = neg_infinity then a
+  else if a = Float.infinity || b = Float.infinity then Float.infinity
+  else begin
+    let hi = Float.max a b and lo = Float.min a b in
+    hi +. (Float.log1p (Float.pow 2.0 (lo -. hi)) /. Float.log 2.0)
+  end
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let prop_add_unchanged =
+  QCheck2.Test.make ~name:"add with a hoisted ln 2 = the old add, bit for bit" ~count:2000
+    QCheck2.Gen.(pair operand operand)
+    (fun (a, b) ->
+      let l2 = Logreal.to_log2 in
+      same_bits (l2 (Logreal.add (Logreal.of_log2 a) (Logreal.of_log2 b))) (old_add a b)
+      && same_bits (Logreal.add_log2 a b) (old_add a b))
+
+(* The exact kernels' window: [add_log2_lower] / [add_log2_upper] must
+   bracket the computed [add_log2]. Gaps sit on the table's cell edges
+   (multiples of 1/32) and one ulp either side, up to and past the tail
+   at 64, or anywhere in a cell; the larger operand's magnitude ranges
+   from 0 to 1e300, both signs. *)
+let prop_add_bounds =
+  let gap =
+    QCheck2.Gen.(
+      frequency
+        [
+          ( 3,
+            map2
+              (fun c side ->
+                let g = float_of_int c /. 32.0 in
+                match side with 0 -> Float.pred g | 1 -> g | _ -> Float.succ g)
+              (int_range 0 2200) (int_bound 2) );
+          (2, float_range 0.0 70.0);
+          (1, float_range 60.0 68.0);
+          (1, oneofl [ 0.0; 64.0; 1e3; 1e6; Float.infinity ]);
+        ])
+  in
+  let hi =
+    QCheck2.Gen.(
+      map2 (fun m neg -> if neg then -.m else m) (oneofl [ 0.0; 1.0; 0x1p22; 1e12; 1e300 ]) bool)
+  in
+  let brackets a b =
+    let k = Logreal.add_log2 a b in
+    Logreal.add_log2_lower a b <= k && k <= Logreal.add_log2_upper a b
+  in
+  QCheck2.Test.make ~name:"add_log2_lower <= add_log2 <= add_log2_upper" ~count:5000
+    ~print:(fun ((h, g), (a, b)) -> Printf.sprintf "hi %h gap %h | %h %h" h g a b)
+    QCheck2.Gen.(pair (pair hi gap) (pair operand operand))
+    (fun ((h, g), (a, b)) -> brackets h (h -. g) && brackets (h -. g) h && brackets a b)
 
 let () =
   Alcotest.run "logreal"
@@ -146,5 +200,7 @@ let () =
             prop_compare_total_order;
             prop_div_mul_inverse;
             prop_add_log2_dominates;
+            prop_add_unchanged;
+            prop_add_bounds;
           ] );
     ]

@@ -851,23 +851,31 @@ end
 module Ref_rat = Exact_ref (Qo.Rat_cost)
 module Ref_log = Exact_ref (Qo.Log_cost)
 
-(* dp, dp_no_cartesian, conv and ccp against the reference, cost AND
-   sequence, in the rational domain and (via [log_of_rat]) the log
+(* log-domain dp, dp_no_cartesian, conv and ccp against the reference,
+   cost (bit for bit) AND sequence *)
+let log_agrees li =
+  let l_all = Ref_log.dp ~no_cartesian:false li and l_cf = Ref_log.dp ~no_cartesian:true li in
+  let log (p : OL.plan) (c, s) =
+    Int64.equal
+      (Int64.bits_of_float (Logreal.to_log2 p.OL.cost))
+      (Int64.bits_of_float (Logreal.to_log2 c))
+    && p.OL.seq = s
+  in
+  log (OL.dp li) l_all
+  && log (OL.dp_no_cartesian li) l_cf
+  && log (CVL.solve li) l_cf
+  && log (CCPL.dp_connected li) l_cf
+
+(* the same in the rational domain, then (via [log_of_rat]) in the log
    domain *)
 let filter_agrees inst =
-  let li = Qo.Instances.log_of_rat inst in
   let r_all = Ref_rat.dp ~no_cartesian:false inst and r_cf = Ref_rat.dp ~no_cartesian:true inst in
-  let l_all = Ref_log.dp ~no_cartesian:false li and l_cf = Ref_log.dp ~no_cartesian:true li in
   let rat (p : OR_.plan) (c, s) = RC.equal p.OR_.cost c && p.OR_.seq = s in
-  let log (p : OL.plan) (c, s) = Qo.Log_cost.equal p.OL.cost c && p.OL.seq = s in
   rat (OR_.dp inst) r_all
   && rat (OR_.dp_no_cartesian inst) r_cf
   && rat (CVR.solve inst) r_cf
   && rat (CCPR.dp_connected inst) r_cf
-  && log (OL.dp li) l_all
-  && log (OL.dp_no_cartesian li) l_cf
-  && log (CVL.solve li) l_cf
-  && log (CCPL.dp_connected li) l_cf
+  && log_agrees (Qo.Instances.log_of_rat inst)
 
 let gen_shape_instance =
   QCheck2.Gen.(
@@ -954,6 +962,29 @@ let prop_filter_extreme =
   QCheck2.Test.make ~name:"filtered kernels ≡ all-exact reference (30-digit rationals)"
     ~count:30 gen_extreme_instance filter_agrees
 
+(* log-native instances: float-drawn cliques, whose candidates can come
+   within 1e-16 of each other in log2 (seen at n = 16), and the paper's
+   f_N over planted cliques, whose exact ties share one pair of summand
+   keys *)
+let prop_filter_log_clique =
+  QCheck2.Test.make ~name:"filtered log kernels ≡ all-exact reference (log cliques, n ≤ 11)" ~count:25
+    QCheck2.Gen.(pair (int_range 2 11) (int_range 0 10_000))
+    (fun (n, seed) -> log_agrees (Qo.Gen_inst.L.clique ~seed ~n ()))
+
+let prop_filter_fn =
+  QCheck2.Test.make ~name:"filtered log kernels ≡ all-exact reference (f_N on planted cliques)" ~count:25
+    QCheck2.Gen.(
+      let* n = int_range 3 11 in
+      let* k = int_range 2 n in
+      let* seed = int_range 0 10_000 in
+      let* p = float_range 0.2 0.9 in
+      let* log2_a = oneofl [ 2.0; 4.0; 8.0 ] in
+      return (n, k, seed, p, log2_a))
+    (fun (n, k, seed, p, log2_a) ->
+      let graph = Graphlib.Gen.planted_clique ~seed ~n ~k ~p in
+      let c = float_of_int k /. float_of_int n in
+      log_agrees (Reductions.Fn.reduce ~graph ~c ~d:(c /. 2.0) ~log2_a).Reductions.Fn.instance)
+
 (* log2 of a positive rational from its top 60 bits: exact exponent,
    mantissa in [1, 2), so only two roundings of the final sum *)
 let ref_log2 q =
@@ -1032,6 +1063,48 @@ let prop_min_w_key_sorted =
         (fun s -> List.for_all (fun j -> LK.min_w_key t j s = scan j s) (List.init n Fun.id))
         (0 :: masks))
 
+(* [fill]'s window on hand-set keys: the candidates of the full subset
+   get summands whose keys crowd within a few table cells (larger
+   operands 1/256 apart, gaps 1/64 apart), so their bounds overlap and
+   the exact pass decides. The winner, its key and the near-tie mark
+   must be those of a plain scan summing every candidate. *)
+let prop_window_vs_scan =
+  QCheck2.Test.make ~name:"window fill ≡ plain exact scan on crowded keys" ~count:1000
+    QCheck2.Gen.(
+      triple (int_range 2 8) (oneofl [ 0.0; 1e-3; 0.02 ])
+        (array_size (return 8) (triple (int_bound 6) (int_bound 96) bool)))
+    (fun (n, slack, picks) ->
+      let inst =
+        { NL.n; graph = Graphlib.Ugraph.create n; sel = Array.make_matrix n n Logreal.one;
+          sizes = Array.make n Logreal.one; w = Array.make_matrix n n Logreal.one }
+      in
+      let t = { (LK.create inst ~adj:(Array.make n 0) ~slots:(1 lsl n) ~slot:Fun.id) with LK.slack } in
+      let full = (1 lsl n) - 1 in
+      let summands j =
+        let a, g, flip = picks.(j) in
+        let hi = float_of_int a /. 256.0 in
+        let lo = hi -. (float_of_int g /. 64.0) in
+        if flip then (lo, hi) else (hi, lo)
+      in
+      let best = ref Float.infinity and second = ref Float.infinity and arg = ref (-1) in
+      for j = 0 to n - 1 do
+        let d, h = summands j in
+        (* the w keys are 0, so h is N(S \ {j})'s key *)
+        Float.Array.set t.LK.dkey (full lxor (1 lsl j)) d;
+        Float.Array.set t.LK.nkey (full lxor (1 lsl j)) h;
+        let k = Logreal.add_log2 d h in
+        if k < !best then begin
+          second := !best;
+          best := k;
+          arg := j
+        end
+        else if k < !second then second := k
+      done;
+      ignore (LK.fill t ~cartesian:true ~defer:true full full);
+      let tie = slack > 0.0 && !second <= !best +. slack in
+      Int64.equal (Int64.bits_of_float (Float.Array.get t.LK.dkey full)) (Int64.bits_of_float !best)
+      && Bytes.get_uint8 t.LK.parent full = if tie then 0xfe else !arg)
+
 (* at the layer-parallel threshold: on a uniform rat chain every
    interval's two cartesian-free candidates tie exactly, so every subset
    of the optimal plan is a near-tie resolved in the sequential settle
@@ -1049,6 +1122,19 @@ let test_filter_parallel_threshold () =
   Alcotest.(check bool) "near-ties were resolved" true (ties () > before);
   Alcotest.(check rc) "cost" s.OR_.cost p.OR_.cost;
   Alcotest.(check (array int)) "sequence" s.OR_.seq p.OR_.seq
+
+(* every subset with a candidate sums at least once with libm (its
+   winner's key), and the window keeps the rest to a few: on a log
+   clique n = 12 the count lies between the 4083 subsets of two or more
+   members and half the 24 564 transitions *)
+let test_exact_adds_counted () =
+  let count name = Option.value ~default:0 (List.assoc_opt name (Obs.snapshot ())) in
+  let adds0 = count "opt.dp.exact_adds" and trans0 = count "opt.dp.transitions" in
+  ignore (OL.dp (Qo.Gen_inst.L.clique ~seed:1 ~n:12 ()));
+  let adds = count "opt.dp.exact_adds" - adds0 and trans = count "opt.dp.transitions" - trans0 in
+  Alcotest.(check int) "transitions" ((12 * 2048) - 12) trans;
+  Alcotest.(check bool) (Printf.sprintf "%d adds >= 4083 subsets" adds) true (adds >= 4083);
+  Alcotest.(check bool) (Printf.sprintf "%d adds < %d / 2" adds trans) true (2 * adds < trans)
 
 (* ------------- one-pass parser ≡ reference parser ------------- *)
 
@@ -1336,14 +1422,18 @@ let () =
           Alcotest.test_case "key slack at %.17g band edges" `Quick test_key_slack_band_edges;
           Alcotest.test_case "rat dp_no_cartesian at the parallel threshold" `Quick
             test_filter_parallel_threshold;
+          Alcotest.test_case "exact_adds counts the window's libm sums" `Quick test_exact_adds_counted;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [
               prop_filter_shapes;
               prop_filter_ties;
               prop_filter_extreme;
+              prop_filter_log_clique;
+              prop_filter_fn;
               prop_key_slack_extreme;
               prop_min_w_key_sorted;
+              prop_window_vs_scan;
             ] );
       ( "io",
         [
