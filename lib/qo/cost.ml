@@ -52,6 +52,13 @@ module type S = sig
       a key near 0 can be the sum of huge cancelling terms, whose
       rounding a bound on the result alone would miss.
 
+      That holds for keys built by at most 2048 operations, as the
+      lattice's are. The heuristics of {!Opt} key whole plans, through
+      up to [K = 3n + |edges|] operations: the rounding share grows
+      linearly in the operation count, so such a key is within
+      [max 1 (K / 2048)] times the sum, and [to_log2] of a plan's exact
+      cost (a sum of [n - 1] products of the scalars) must be too.
+
       {!Log_cost}'s is [0]: its key {e is} its value (the same floats
       through the same operations), so the filter's selection is the
       plain float comparison and nothing is ever re-priced. *)

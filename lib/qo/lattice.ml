@@ -17,8 +17,9 @@
     {!Logreal.mul_log2} / {!Logreal.add_log2} in exactly the operand
     order of the exact [C.mul] / [C.add] chain.
 
-    {b Slack.} [slack = 2 * E] where [E] is the sum of {!Cost.S.key_slack}
-    over the sizes, the edge selectivities and the widest access cost:
+    {b Slack.} [slack = 2 * E] where [E] ({!Make.key_error}) is the sum
+    of {!Cost.S.key_slack} over the sizes, the edge selectivities and the
+    widest access cost:
     by the contract of [key_slack] (error of [to_log2] plus each
     scalar's share of the rounding; [add_log2] is 1-Lipschitz, so the
     error of a [min]/[+] chain is at most that of its worst term, which
@@ -164,26 +165,35 @@ module Make (C : Cost.S) = struct
   let pending = 0xfe
   let set_parent t si v = Bytes.set_uint8 t.parent si (v land 0xff)
 
-  let create (inst : I.t) ~adj ~slots ~slot =
+  (** The error budget [E] of [inst]'s keys (see the header):
+      {!Cost.S.key_slack} summed over the sizes and the edge
+      selectivities, plus the widest access cost's. The heuristics of
+      {!Opt} price whole plans against the same budget. *)
+  let key_error (inst : I.t) =
     let n = I.n inst in
-    let keys m = Float.Array.init (n * n) (fun i -> C.to_log2 m.(i / n).(i mod n)) in
-    let wkey = Array.map (Array.map C.to_log2) inst.I.w in
-    let order = row_order Float.compare wkey in
     let err = ref 0.0 and widest_w = ref 0.0 in
     for i = 0 to n - 1 do
       err := !err +. C.key_slack inst.I.sizes.(i);
       for j = 0 to n - 1 do
         if j <> i then widest_w := Float.max !widest_w (C.key_slack inst.I.w.(i).(j));
-        if j > i && adj.(i) land (1 lsl j) <> 0 then err := !err +. C.key_slack inst.I.sel.(i).(j)
+        if j > i && Graphlib.Ugraph.has_edge inst.I.graph i j then
+          err := !err +. C.key_slack inst.I.sel.(i).(j)
       done
     done;
+    !err +. !widest_w
+
+  let create (inst : I.t) ~adj ~slots ~slot =
+    let n = I.n inst in
+    let keys m = Float.Array.init (n * n) (fun i -> C.to_log2 m.(i / n).(i mod n)) in
+    let wkey = Array.map (Array.map C.to_log2) inst.I.w in
+    let order = row_order Float.compare wkey in
     let t =
       {
         inst;
         n;
         adj;
         slot;
-        slack = 2.0 *. (!err +. !widest_w);
+        slack = 2.0 *. key_error inst;
         tkey = Float.Array.init n (fun i -> C.to_log2 inst.I.sizes.(i));
         skey = keys inst.I.sel;
         wbit = Array.init (n * n) (fun i -> 1 lsl order.(i / n).(i mod n));

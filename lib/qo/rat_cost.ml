@@ -78,7 +78,15 @@ let to_log2 = function
      n + n(n-1)/2 + 2n < 2048 operations for n <= 61, so rounding adds
      at most 2048 * 3u = 7e-13 per bit of B and 1e-12 in all.
    1e-11 per bit plus 8 bits of headroom covers both more than ten
-   times over. An infinite scalar keys to [infinity] exactly. *)
+   times over. An infinite scalar keys to [infinity] exactly.
+   A heuristic's whole-plan key passes through K = 3n + |edges|
+   operations; its budget is scaled by max 1 (K / 2048), which keeps
+   the rounding share per operation. [to_log2] of a plan's exact cost,
+   a sum of n - 1 products whose denominators multiply, has
+   B <= n * (the scalars' summed B) + log2 n + 1: within
+   2e-13 + 2uB, under the scaled budget at every n (2un <= 1e-11 while
+   K <= 2048, i.e. n <= 682; past that the scale 3n / 2048 gives
+   1.4e-14 n per bit). *)
 let key_slack = function
   | Fin q -> 1e-11 *. float_of_int (Bigq.bit_width q + 8)
   | Inf -> 0.0

@@ -143,8 +143,10 @@ let log_payload ~seed ~shape ~n =
 
 (* Every algo comes from the registry. Entries with weight >= fast
    (the seed portfolio, and unknown future entrants by default) join
-   the benign mix; weight-1 entries — sa's fixed ~300ms anneal
-   schedule, milp's exact Bigq simplex — are "showcase" entrants: they
+   the benign mix; weight-1 entries — sa's fixed 20 000-step anneal
+   (about 9 ms on a 6-relation showcase instance, release build on a
+   Xeon host), milp's exact Bigq simplex (about 22 ms) — are
+   "showcase" entrants: they
    still appear throughout the trace, but on dedicated small fixed
    instances at a low rate, so the cache-miss cost of a
    million-request replay stays dominated by the fast portfolio (the
@@ -367,8 +369,9 @@ let emit p sink =
   let emit_hostile burst_len =
     (* uneven kind mass: the budget-starved f_N class (kind 4) is the
        only hostile whose every cache miss runs the greedy+SA fallback
-       (~0.5s), so it gets 1/16 of the tail; the O(us) protocol/parse/
-       admission kinds carry the rest *)
+       (about 25 ms on its 10-relation log instance, release build on a
+       Xeon host), so it gets 1/16 of the tail; the O(us) protocol/
+       parse/admission kinds carry the rest *)
     let kind =
       match Random.State.int st 16 with
       | 0 | 1 | 2 | 3 -> 0

@@ -3,8 +3,9 @@
    [Printf]/[Format] dump and the two-pass list-based parser [Qo.Io]
    had before its one-pass lexer and [Buffer]-direct dump, and
    [Opt.greedy]'s loop as it was before [Min_cost] stopped computing
-   the unused [Min_size] product. Each is verbatim but for what its
-   comment names. *)
+   the unused [Min_size] product, and [Opt.simulated_annealing] as it
+   was before it priced moves on keys. Each is verbatim but for what
+   its comment names. *)
 
 module Io = struct
   let dump_generic ~scalar_to_string ~(n : int) ~graph ~sizes ~sel ~w =
@@ -217,4 +218,60 @@ module Greedy (C : Qo.Cost.S) = struct
       if C.compare (fst p) (fst !best) < 0 then best := p
     done;
     !best
+end
+
+(* [simulated_annealing] returns (cost, seq) instead of an [Opt] plan;
+   [random_perm] is [Opt]'s. *)
+module Annealing (C : Qo.Cost.S) = struct
+  module I = Qo.Nl.Make (C)
+
+  let random_perm st n =
+    let a = Array.init n (fun i -> i) in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done;
+    a
+
+  let simulated_annealing ?(seed = 0) ?(steps = 20_000) ?(t0 = 50.0) ?(alpha = 0.999)
+      (inst : I.t) =
+    let n = I.n inst in
+    if n = 0 then invalid_arg "Opt.simulated_annealing: empty instance";
+    let st = Random.State.make [| seed; n; 23 |] in
+    let seq = random_perm st n in
+    let cur = ref (I.cost inst seq) in
+    let best_cost = ref !cur in
+    let best_seq = ref (Array.copy seq) in
+    let temp = ref t0 in
+    for _s = 1 to steps do
+      let i = Random.State.int st n and j = Random.State.int st n in
+      if i <> j then begin
+        let tmp = seq.(i) in
+        seq.(i) <- seq.(j);
+        seq.(j) <- tmp;
+        let c = I.cost inst seq in
+        let accept =
+          C.compare c !cur <= 0
+          ||
+          let d = C.to_log2 c -. C.to_log2 !cur in
+          Random.State.float st 1.0 < Float.exp (-.d /. !temp)
+        in
+        if accept then begin
+          cur := c;
+          if C.compare c !best_cost < 0 then begin
+            best_cost := c;
+            best_seq := Array.copy seq
+          end
+        end
+        else begin
+          let tmp = seq.(i) in
+          seq.(i) <- seq.(j);
+          seq.(j) <- tmp
+        end
+      end;
+      temp := !temp *. alpha
+    done;
+    (!best_cost, !best_seq)
 end

@@ -1326,27 +1326,190 @@ let test_parse_canonical_text () =
   in
   Alcotest.(check string) "normalized" canonical (snd (Qo.Io.parse_rat_canonical spelled))
 
-(* ------------- greedy ≡ its loop before the dead product went ------------- *)
+(* ------------- greedy and SA ≡ their all-exact loops ------------- *)
 
 module GR = Reference.Greedy (Qo.Rat_cost)
 module GL = Reference.Greedy (Qo.Log_cost)
+module SR = Reference.Annealing (Qo.Rat_cost)
+module SL = Reference.Annealing (Qo.Log_cost)
+
+let counter name = Option.value ~default:0 (List.assoc_opt name (Obs.snapshot ()))
+
+(* The keyed greedy against the reference, both modes, [starts] in
+   {1, 2, n}. The reference fails with an index error when every
+   candidate of a step has an infinite join; the keyed greedy then takes
+   the lowest-numbered candidate, so there it must return a permutation
+   priced at its [Nl.cost]. *)
+let greedy_agrees ~equal ~cost ~run ~reference n =
+  List.for_all
+    (fun starts ->
+      List.for_all
+        (fun mode ->
+          let c, s = run mode starts in
+          match reference mode starts with
+          | rc, rs -> equal c rc && s = rs
+          | exception Invalid_argument _ ->
+              List.sort compare (Array.to_list s) = List.init n Fun.id && equal c (cost s))
+        [ `Cost; `Size ])
+    (List.sort_uniq compare [ 1; 2; n ])
+
+let greedy_agrees_rat inst =
+  greedy_agrees ~equal:RC.equal ~cost:(NR.cost inst) (NR.n inst)
+    ~run:(fun mode starts ->
+      let mode = match mode with `Cost -> OR_.Min_cost | `Size -> OR_.Min_size in
+      let p = OR_.greedy ~mode ~starts inst in
+      (p.OR_.cost, p.OR_.seq))
+    ~reference:(fun mode starts ->
+      GR.greedy ~mode:(match mode with `Cost -> GR.Min_cost | `Size -> GR.Min_size) ~starts inst)
+
+let greedy_agrees_log inst =
+  greedy_agrees ~equal:Qo.Log_cost.equal ~cost:(NL.cost inst) (NL.n inst)
+    ~run:(fun mode starts ->
+      let mode = match mode with `Cost -> OL.Min_cost | `Size -> OL.Min_size in
+      let p = OL.greedy ~mode ~starts inst in
+      (p.OL.cost, p.OL.seq))
+    ~reference:(fun mode starts ->
+      GL.greedy ~mode:(match mode with `Cost -> GL.Min_cost | `Size -> GL.Min_size) ~starts inst)
+
+(* SA against the reference as (seed, steps, t0, alpha): seeds x
+   steps on the default temperatures, the default 20 000-step schedule
+   at n <= 7 unless [short], and cold starts, where the random stream
+   still steers the descent when a draw decides almost nothing, so a
+   draw skipped or added shows in the plan *)
+let sa_schedules ?(short = false) n =
+  List.concat_map (fun seed -> List.map (fun steps -> (seed, steps, 50.0, 0.999)) [ 0; 1; 500 ]) [ 0; 1; 9 ]
+  @ List.map (fun seed -> (seed, 300, 0.05, 1.0)) [ 2; 5; 8 ]
+  @ if n <= 7 && not short then [ (3, 20_000, 50.0, 0.999) ] else []
+
+let sa_agrees_rat ?short inst =
+  List.for_all
+    (fun (seed, steps, t0, alpha) ->
+      let p = OR_.simulated_annealing ~seed ~steps ~t0 ~alpha inst
+      and c, s = SR.simulated_annealing ~seed ~steps ~t0 ~alpha inst in
+      RC.equal p.OR_.cost c && p.OR_.seq = s)
+    (sa_schedules ?short (NR.n inst))
+
+let sa_agrees_log inst =
+  List.for_all
+    (fun (seed, steps, t0, alpha) ->
+      let p = OL.simulated_annealing ~seed ~steps ~t0 ~alpha inst
+      and c, s = SL.simulated_annealing ~seed ~steps ~t0 ~alpha inst in
+      Int64.equal (Int64.bits_of_float (Logreal.to_log2 p.OL.cost)) (Int64.bits_of_float (Logreal.to_log2 c))
+      && p.OL.seq = s)
+    (sa_schedules (NL.n inst))
 
 let prop_greedy_reference =
   QCheck2.Test.make ~name:"greedy ≡ reference loop (both modes, both domains)" ~count:80
     gen_shape_instance (fun inst ->
-      let li = Qo.Instances.log_of_rat inst in
-      let rat mode rmode =
-        let p = OR_.greedy ~mode inst and c, s = GR.greedy ~mode:rmode inst in
-        RC.equal p.OR_.cost c && p.OR_.seq = s
-      in
-      let log mode rmode =
-        let p = OL.greedy ~mode li and c, s = GL.greedy ~mode:rmode li in
-        Qo.Log_cost.equal p.OL.cost c && p.OL.seq = s
-      in
-      rat OR_.Min_cost GR.Min_cost
-      && rat OR_.Min_size GR.Min_size
-      && log OL.Min_cost GL.Min_cost
-      && log OL.Min_size GL.Min_size)
+      greedy_agrees_rat inst && greedy_agrees_log (Qo.Instances.log_of_rat inst))
+
+let prop_sa_reference =
+  QCheck2.Test.make ~name:"simulated annealing ≡ reference (seeds x steps, both domains)" ~count:25
+    gen_shape_instance (fun inst ->
+      sa_agrees_rat inst && sa_agrees_log (Qo.Instances.log_of_rat inst))
+
+let prop_heuristics_extreme =
+  QCheck2.Test.make ~name:"greedy and SA ≡ reference (30-digit rationals, up to 500 steps)" ~count:4
+    gen_extreme_instance (fun inst -> greedy_agrees_rat inst && sa_agrees_rat ~short:true inst)
+
+(* Tie-heavy instances: scalars from two or three values, stars with
+   identical satellites, relations of infinite size (every access cost
+   into them infinite) in the rat domain; the paper's f_N in the log
+   domain. *)
+let tie_heavy_rat ~seed ~n ~kind =
+  let st = Random.State.make [| seed; 41 |] in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let g =
+    if kind = 1 then Graphlib.Ugraph.of_edges n (List.init (n - 1) (fun i -> (0, i + 1)))
+    else Graphlib.Gen.gnp ~seed ~n ~p:0.6
+  in
+  let sizes =
+    Array.init n (fun i ->
+        match kind with
+        | 1 -> if i = 0 then RC.of_int 12 else RC.of_int 6
+        | 2 when Random.State.int st 3 = 0 -> RC.infinity
+        | _ -> RC.of_int (pick [ 4; 8; 12 ]))
+  in
+  let sel = Array.make_matrix n n RC.one and w = Array.make_matrix n n RC.one in
+  List.iter
+    (fun (i, j) ->
+      let s = if kind = 1 then RC.of_ints 1 2 else RC.of_ints 1 (pick [ 2; 4 ]) in
+      sel.(i).(j) <- s;
+      sel.(j).(i) <- s)
+    (Graphlib.Ugraph.edges g);
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then
+        w.(i).(j) <-
+          (if Graphlib.Ugraph.has_edge g i j then
+             RC.min sizes.(i) (RC.max (RC.mul sizes.(i) sel.(i).(j)) (RC.of_int (pick [ 2; 3 ])))
+           else sizes.(i))
+    done
+  done;
+  NR.make ~graph:g ~sel ~sizes ~w
+
+let prop_heuristics_ties =
+  QCheck2.Test.make ~name:"greedy and SA ≡ reference on tie-heavy instances (both domains)" ~count:40
+    QCheck2.Gen.(triple (int_range 2 8) (int_range 0 10_000) (int_bound 2))
+    (fun (n, seed, kind) ->
+      let inst = tie_heavy_rat ~seed ~n ~kind in
+      greedy_agrees_rat inst && sa_agrees_rat inst && greedy_agrees_log (Qo.Instances.log_of_rat inst))
+
+let prop_heuristics_fn =
+  QCheck2.Test.make ~name:"greedy and SA ≡ reference (log f_N on planted cliques)" ~count:15
+    QCheck2.Gen.(triple (int_range 3 9) (int_range 0 10_000) (float_range 0.2 0.9))
+    (fun (n, seed, p) ->
+      let k = 2 + (seed mod (n - 1)) in
+      let graph = Graphlib.Gen.planted_clique ~seed ~n ~k ~p in
+      let c = float_of_int k /. float_of_int n in
+      let inst = (Reductions.Fn.reduce ~graph ~c ~d:(c /. 2.0) ~log2_a:4.0).Reductions.Fn.instance in
+      greedy_agrees_log inst && sa_agrees_log inst)
+
+(* The tie-heavy instances reach exact pricing: keys within the slack
+   are settled in [Bigq], so the counter moves. *)
+let test_heuristics_exact_reached () =
+  let before = counter "opt.heur.exact_prices" and steps0 = counter "opt.heur.steps" in
+  for seed = 0 to 19 do
+    let inst = tie_heavy_rat ~seed ~n:6 ~kind:(seed mod 3) in
+    ignore (OR_.greedy inst);
+    ignore (OR_.simulated_annealing ~seed ~steps:500 inst)
+  done;
+  let priced = counter "opt.heur.exact_prices" - before and steps = counter "opt.heur.steps" - steps0 in
+  Alcotest.(check bool) (Printf.sprintf "%d exact prices over %d decisions" priced steps) true (priced > 0)
+
+(* Two candidates whose keys are between E and 2 E apart: a near tie
+   by the slack, so greedy must price them exactly (a slack of E would
+   decide it on keys). Relations 1 and 2 join relation 0 with no
+   predicate, so their joins cost t_0 t_1 and t_0 t_2. With no edges,
+   E is the sizes' key slack plus the widest access cost's, a size's. *)
+let test_heuristics_slack_band () =
+  let inst_of q =
+    let sizes = [| RC.of_int 3; RC.of_int (1 lsl 20); RC.of_ints ((1 lsl 20) * (q + 1)) q |] in
+    NR.make ~graph:(Graphlib.Ugraph.create 3) ~sel:(Array.make_matrix 3 3 RC.one) ~sizes
+      ~w:(Array.init 3 (fun i -> Array.make 3 sizes.(i)))
+  in
+  let in_band q =
+    let sizes = (inst_of q).NR.sizes in
+    let slack = Array.map RC.key_slack sizes in
+    let e = Array.fold_left ( +. ) 0.0 slack +. Array.fold_left Float.max 0.0 slack in
+    let gap = RC.to_log2 sizes.(2) -. RC.to_log2 sizes.(1) in
+    gap > 1.1 *. e && gap < 1.9 *. e
+  in
+  let q = List.find in_band (List.init 40 (fun k -> (1 lsl (k + 10)) + 1)) in
+  let inst = inst_of q in
+  let before = counter "opt.heur.exact_prices" in
+  let p = OR_.greedy ~starts:1 inst and c, s = GR.greedy ~starts:1 inst in
+  Alcotest.(check bool) "same plan as the reference" true (RC.equal p.OR_.cost c && p.OR_.seq = s);
+  Alcotest.(check bool) "priced exactly" true (counter "opt.heur.exact_prices" > before)
+
+let test_heuristics_invalid_args () =
+  let inst = tie_heavy_rat ~seed:1 ~n:4 ~kind:0 in
+  Alcotest.check_raises "iterative_improvement ~restarts:0"
+    (Invalid_argument "Opt.iterative_improvement: restarts must be positive") (fun () ->
+      ignore (OR_.iterative_improvement ~restarts:0 inst));
+  Alcotest.check_raises "genetic ~population:0"
+    (Invalid_argument "Opt.genetic: population must be positive") (fun () ->
+      ignore (OR_.genetic ~population:0 inst))
 
 let () =
   Alcotest.run "qo"
@@ -1366,6 +1529,22 @@ let () =
             prop_dp_plan_cost_consistent;
             prop_greedy_reference;
           ] );
+      ( "heuristics ≡ reference",
+        [
+          Alcotest.test_case "tie-heavy instances reach exact pricing" `Quick
+            test_heuristics_exact_reached;
+          Alcotest.test_case "keys within the slack are priced exactly" `Quick
+            test_heuristics_slack_band;
+          Alcotest.test_case "named errors for empty restarts / population" `Quick
+            test_heuristics_invalid_args;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              prop_sa_reference;
+              prop_heuristics_extreme;
+              prop_heuristics_ties;
+              prop_heuristics_fn;
+            ] );
       ( "iterative improvement",
         [ Alcotest.test_case "apply_move semantics" `Quick test_apply_move ]
         @ List.map QCheck_alcotest.to_alcotest
