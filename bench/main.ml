@@ -292,15 +292,15 @@ let ccp_dp_check ~jobs =
    - clique-ish graphs at matched n: nearly every subset is connected,
      so ccp's hashed connected-subset walk degenerates to the full
      lattice plus hashing overhead, while conv's dense regime (the
-     lattice DP's own kernel, swept by rank) finds each subset by its
-     mask — a constant factor, and the rows must be bit-identical;
+     lattice DP, [dp_no_cartesian]) finds each subset by its mask — a
+     constant factor, and the rows must be bit-identical;
    - chain/tree past the old 61-relation single-word ceiling: the
      multi-word sparse regime, where a full-length join sequence is
      the invariant a broken enumeration would break first. *)
 
 module CV = Qo.Instances.Conv_log
 
-let conv_check ~jobs =
+let conv_check () =
   Printf.printf "\n== Subset convolution vs connected DP (dense + multi-word reach) ==\n";
   let mismatches = ref 0 in
   Printf.printf "%-12s %4s %12s %12s %9s %14s\n" "graph" "n" "ccp (s)" "conv (s)"
@@ -343,7 +343,6 @@ let conv_check ~jobs =
     done;
     g
   in
-  ignore jobs;
   Printf.printf "\n%-12s %4s %16s %12s %12s %11s\n" "graph" "n" "csg (vs 2^n)" "conv (s)" "cost"
     "max bucket";
   let beyond_rows =
@@ -374,293 +373,6 @@ let conv_check ~jobs =
   (!mismatches, vs_rows, beyond_rows)
 
 (* ------------------------------------------------------------------ *)
-(* qopt serve under a mixed workload: 120 requests — valid (with heavy
-   duplication, exercising the plan cache), malformed, oversized, and
-   budget-capped — through one in-process serving loop. The loop must
-   survive all of it (a single uncaught exception would abort the
-   bench), hit the exact expected ok/error/rejected split, answer
-   cache hits byte-identically, and report throughput + hit rate. *)
-
-let serve_workload_check () =
-  Printf.printf "\n== qopt serve: mixed 120-request workload ==\n";
-  let module NR = Qo.Instances.Nl_rat in
-  let module OR_ = Qo.Instances.Opt_rat in
-  let dp_insts = List.init 8 (fun i -> Qo.Gen_inst.R.tree ~seed:(100 + i) ~n:7 ()) in
-  let ccp_insts = List.init 4 (fun i -> Qo.Gen_inst.R.chain ~seed:(200 + i) ~n:9 ()) in
-  let greedy_insts = List.init 10 (fun i -> Qo.Gen_inst.R.random ~seed:(300 + i) ~n:8 ~p:0.5 ()) in
-  let fb_insts = List.init 3 (fun i -> Qo.Gen_inst.R.tree ~seed:(400 + i) ~n:8 ()) in
-  let big_chain =
-    let b = Buffer.create 512 in
-    Buffer.add_string b "qon 1\nn 24\n";
-    for i = 0 to 23 do
-      Buffer.add_string b (Printf.sprintf "size %d 4\n" i)
-    done;
-    for i = 0 to 22 do
-      Buffer.add_string b (Printf.sprintf "edge %d %d sel 1/2 wij 2 wji 2\n" i (i + 1))
-    done;
-    Buffer.contents b
-  in
-  let buf = Buffer.create 65536 in
-  let req ?(header = "request algo=dp") payload =
-    Buffer.add_string buf header;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf payload;
-    Buffer.add_string buf "end\n"
-  in
-  let round insts header reps =
-    for _ = 1 to reps do
-      List.iter (fun inst -> req ~header (Qo.Io.dump_rat inst)) insts
-    done
-  in
-  round dp_insts "request algo=dp" 5 (* 40: 8 misses + 32 hits *);
-  round ccp_insts "request algo=ccp" 5 (* 20: 4 misses + 16 hits *);
-  round greedy_insts "request algo=greedy" 2 (* 20: 10 misses + 10 hits *);
-  round fb_insts "request algo=dp budget_ms=0" 5 (* 15: 3 misses + 12 hits, approximate *);
-  for _ = 1 to 8 do
-    req ~header:"request algo=quantum" (Qo.Io.dump_rat (List.hd dp_insts))
-  done;
-  for _ = 1 to 4 do
-    Buffer.add_string buf "not a request at all\n"
-  done;
-  for _ = 1 to 3 do
-    req "qon 1\nthis payload does not parse\n"
-  done;
-  for _ = 1 to 10 do
-    req big_chain
-  done;
-  let (out, st), seconds = Obs.time (fun () -> Serve.serve_string (Buffer.contents buf)) in
-  (* byte-identity spot check: the served dp plan line for the first
-     instance must equal the directly rendered optimum *)
-  let p = OR_.dp (List.hd dp_insts) in
-  let dp_line =
-    Serve.render_plan ~label:"exact (subset DP)"
-      ~log2_cost:(Qo.Rat_cost.to_log2 p.OR_.cost) ~seq:p.OR_.seq
-  in
-  let contains haystack needle =
-    let nh = String.length haystack and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
-  in
-  let byte_identical = contains out dp_line in
-  let expect name got want =
-    if got = want then 0
-    else begin
-      Printf.printf "  MISMATCH %-12s got %d, expected %d\n" name got want;
-      1
-    end
-  in
-  let t = st.Serve.totals in
-  let mismatches =
-    expect "requests" t.requests 120
-    + expect "ok" t.ok 95
-    + expect "errors" t.errors 15
-    + expect "rejected" t.rejected 10
-    + expect "cache hits" t.cache_hits 70
-    + expect "cache misses" t.cache_misses 25
-    + (if byte_identical then 0
-       else begin
-         Printf.printf "  MISMATCH served dp plan line differs from direct render\n";
-         1
-       end)
-  in
-  let throughput = float_of_int t.requests /. seconds in
-  Printf.printf
-    "  %d requests in %.3fs (%.0f req/s): %d ok, %d error, %d rejected; cache %d/%d \
-     (%.0f%% hit rate); byte-identical %s\n"
-    t.requests seconds throughput t.ok t.errors t.rejected t.cache_hits
-    (t.cache_hits + t.cache_misses)
-    (100. *. Serve.hit_rate st)
-    (if byte_identical then "yes" else "NO");
-  (mismatches, st, seconds, throughput, byte_identical)
-
-(* ------------------------------------------------------------------ *)
-(* Sustained-load serve benchmark: one deterministic mixed workload —
-   cache hits (heavily duplicated small instances), misses, admission
-   rejections, parse errors, junk lines and budget fallbacks — replayed
-   through the serving loop once per jobs setting. Every jobs>1 output
-   must be byte-identical to the jobs=1 output; rows record throughput
-   and p50/p95/p99 request latency. No Random anywhere: request i picks
-   from its pool by (i * 7919) mod size, so the stream is reproducible
-   across runs and machines. *)
-
-let serve_concurrent_workload ~requests =
-  let dump_tree seed n = Qo.Io.dump_rat (Qo.Gen_inst.R.tree ~seed ~n ()) in
-  let dp_pool = Array.init 150 (fun i -> dump_tree (1000 + i) (6 + (i mod 3))) in
-  let ccp_pool =
-    Array.init 50 (fun i -> Qo.Io.dump_rat (Qo.Gen_inst.R.chain ~seed:(2000 + i) ~n:9 ()))
-  in
-  let greedy_pool =
-    Array.init 100 (fun i ->
-        Qo.Io.dump_rat (Qo.Gen_inst.R.random ~seed:(3000 + i) ~n:8 ~p:0.5 ()))
-  in
-  let fb_pool = Array.init 20 (fun i -> dump_tree (4000 + i) 8) in
-  let big_chain =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "qon 1\nn 24\n";
-    for i = 0 to 23 do
-      Buffer.add_string b (Printf.sprintf "size %d 4\n" i)
-    done;
-    for i = 0 to 22 do
-      Buffer.add_string b (Printf.sprintf "edge %d %d sel 1/2 wij 2 wji 2\n" i (i + 1))
-    done;
-    Buffer.contents b
-  in
-  let buf = Buffer.create (requests * 192) in
-  let req header payload =
-    Buffer.add_string buf header;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf payload;
-    Buffer.add_string buf "end\n"
-  in
-  for i = 0 to requests - 1 do
-    (* in-band introspection probes, mid-stream: the responses ride the
-       same output channel but must not perturb a single non-control
-       byte (checked below by stripping them before the jobs-1 diff) *)
-    if i = requests / 3 then Buffer.add_string buf "#stats\n";
-    if i = requests / 2 then Buffer.add_string buf "#health\n";
-    if i = 2 * requests / 3 then Buffer.add_string buf "#hist solve\n";
-    let pick arr = arr.((i * 7919) mod Array.length arr) in
-    match i mod 20 with
-    | 7 -> Buffer.add_string buf "sustained-load junk line\n" (* bad-request error *)
-    | 13 -> req "request algo=dp" big_chain (* admission rejection *)
-    | 17 -> req "request algo=dp" "qon 1\nthis payload does not parse\n" (* parse error *)
-    | 3 -> req "request algo=dp budget_ms=0" (pick fb_pool) (* budget fallback *)
-    | 5 | 15 -> req "request algo=ccp" (pick ccp_pool)
-    | 2 | 12 | 18 -> req "request algo=greedy" (pick greedy_pool)
-    | _ -> req "request algo=dp" (pick dp_pool)
-  done;
-  Buffer.contents buf
-
-let serve_concurrent_check ~requests ~jobs_list =
-  (* speedups only mean anything relative to the cores actually
-     available — on a 1-core host every jobs>1 run is pure
-     oversubscription and lands below 1.0x by design *)
-  Printf.printf
-    "\n== qopt serve: sustained %d-request workload, concurrent pipeline (%d core(s)) ==\n"
-    requests
-    (Domain.recommended_domain_count ());
-  let input = serve_concurrent_workload ~requests in
-  let config =
-    {
-      Serve.default_config with
-      Serve.cache_capacity = 1024;
-      batch_size = 32;
-    }
-  in
-  let run jobs =
-    Obs.time (fun () ->
-        if jobs <= 1 then Serve.serve_string ~config input
-        else Pool.with_pool ~jobs (fun pool -> Serve.serve_string ~pool ~config input))
-  in
-  (* A control block is valid when its header reports status=ok and its
-     body is one line of schema-versioned JSON; the #stats snapshot must
-     additionally report a positive accepted count — it was issued a
-     third of the way into the stream, and [accepted] is the reader-side
-     arrival counter, so it is deterministic at any jobs (the committed
-     totals may legitimately lag the reader in the concurrent pipeline). *)
-  let controls_ok controls =
-    let json_ok body =
-      match Obs.Json.of_string (String.trim body) with
-      | Error _ -> false
-      | Ok j -> (
-          match (Obs.Json.member "schema_version" j, Obs.Json.member "kind" j) with
-          | Some (Obs.Json.Int 1), Some (Obs.Json.Str "qopt-serve-control") -> true
-          | _ -> false)
-    in
-    let header_ok h =
-      match String.split_on_char ' ' h with
-      | "control" :: _ :: "status=ok" :: _ -> true
-      | _ -> false
-    in
-    let stats_has_progress (h, body) =
-      String.length h >= 13
-      && String.sub h 0 13 = "control stats"
-      &&
-      match Obs.Json.of_string (String.trim body) with
-      | Ok j -> (
-          match Obs.Json.member "accepted" j with
-          | Some (Obs.Json.Int n) -> n > 0
-          | _ -> false)
-      | Error _ -> false
-    in
-    List.length controls = 3
-    && List.for_all (fun (h, body) -> header_ok h && json_ok body) controls
-    && List.exists stats_has_progress controls
-  in
-  Printf.printf "%6s %10s %12s %9s %9s %9s %9s %14s %8s\n" "jobs" "seconds" "req/s"
-    "speedup" "p50 ms" "p95 ms" "p99 ms" "byte-identical" "ctl-ok";
-  let mismatches = ref 0 in
-  let base = ref None in
-  let rows =
-    List.map
-      (fun jobs ->
-        let (out, st), seconds = run jobs in
-        let plain, controls = Serve.split_control out in
-        let base_plain, base_st, base_s =
-          match !base with
-          | None ->
-              base := Some (plain, st, seconds);
-              (plain, st, seconds)
-          | Some b -> b
-        in
-        let identical =
-          String.equal plain base_plain && Trace.stats_key st = Trace.stats_key base_st
-        in
-        if not identical then begin
-          incr mismatches;
-          Printf.printf "  MISMATCH jobs=%d output differs from sequential run\n" jobs
-        end;
-        let control_ok = controls_ok controls in
-        if not control_ok then begin
-          incr mismatches;
-          Printf.printf "  MISMATCH jobs=%d invalid control responses (%d block(s))\n" jobs
-            (List.length controls)
-        end;
-        let throughput = float_of_int st.Serve.totals.requests /. seconds in
-        let p50 = Serve.latency_percentile st 50.
-        and p95 = Serve.latency_percentile st 95.
-        and p99 = Serve.latency_percentile st 99. in
-        Printf.printf "%6d %10.3f %12.0f %8.2fx %9.3f %9.3f %9.3f %14s %8s\n" jobs
-          seconds throughput
-          (if seconds > 0.0 then base_s /. seconds else Float.nan)
-          p50 p95 p99
-          (if identical then "yes" else "NO")
-          (if control_ok then "yes" else "NO");
-        (jobs, st, seconds, throughput, p50, p95, p99, identical, control_ok))
-      jobs_list
-  in
-  (!mismatches, config, rows)
-
-let serve_concurrent_json ~requests ~(config : Serve.config) rows =
-  let open Obs.Json in
-  Obj
-    [
-      ("requests", Int requests);
-      ("workload", Str "mixed: cache hits/misses, rejections, parse errors, junk, fallbacks");
-      ("host_cores", Int (Domain.recommended_domain_count ()));
-      ("cache_capacity", Int config.Serve.cache_capacity);
-      ("cache_shards", Int config.Serve.cache_shards);
-      ("queue_capacity", Int config.Serve.queue_capacity);
-      ("batch_size", Int config.Serve.batch_size);
-      ( "rows",
-        Arr
-          (List.map
-             (fun (jobs, st, seconds, throughput, p50, p95, p99, identical, control_ok) ->
-               Obj
-                 ((("jobs", Int jobs) :: Serve.count_fields st)
-                 @ [
-                     ("seconds", Float seconds);
-                     ("requests_per_s", Float throughput);
-                     ("p50_ms", Float p50);
-                     ("p95_ms", Float p95);
-                     ("p99_ms", Float p99);
-                     ("byte_identical_to_sequential", Bool identical);
-                     ("control_ok", Bool control_ok);
-                   ]))
-             rows) );
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* A fuzz campaign as a bench row: 300 seeded runs through the full
    oracle registry (corpus mutations included when fuzz/corpus is
    visible from the cwd). Zero failures is a hard requirement — any
@@ -687,65 +399,6 @@ let fuzz_campaign_check ~jobs =
         f.Fuzz.message)
     r.Fuzz.failures;
   (r.Fuzz.fails, r, seconds, throughput)
-
-(* Cache realism of the trace generator: replaying the same synthetic
-   workload at increasing Zipf skew must raise the plan-cache hit rate
-   monotonically — the headline signal that generated traffic is
-   cache-realistic rather than uniform noise. The default pool (512
-   base instances) exceeds the default cache capacity (256), so the
-   replays run under eviction pressure and the curve has room to move;
-   any non-increase across adjacent skews fails the bench. *)
-let trace_skew_check () =
-  Printf.printf "\n== trace replay: cache hit rate vs Zipf skew (20k requests each) ==\n";
-  let rows =
-    List.map
-      (fun skew ->
-        let p = { Trace.default_params with Trace.requests = 20_000; seed = 21; skew } in
-        let t = Trace.generate p in
-        let _out, st, seconds = Trace.replay ~probe_every:1000 t in
-        let tot = st.Serve.totals in
-        Printf.printf
-          "  skew %.1f: %5d hits / %5d misses (%.4f hit rate), %d coalesced, %d \
-           evicted, %d resident, %.2fs (%.0f req/s)\n"
-          skew tot.cache_hits tot.cache_misses (Serve.hit_rate st) tot.coalesced
-          tot.evictions st.Serve.cache_entries seconds
-          (float_of_int tot.requests /. seconds);
-        (skew, st, seconds))
-      [ 0.2; 0.8; 1.4 ]
-  in
-  let violations = ref 0 in
-  let rec check = function
-    | (s1, st1, _) :: ((s2, st2, _) :: _ as rest) ->
-        if Serve.hit_rate st2 <= Serve.hit_rate st1 then begin
-          incr violations;
-          Printf.printf "  VIOLATION: hit rate fell %.4f (s=%.1f) -> %.4f (s=%.1f)\n"
-            (Serve.hit_rate st1) s1 (Serve.hit_rate st2) s2
-        end;
-        check rest
-    | _ -> ()
-  in
-  check rows;
-  (!violations, rows)
-
-let trace_json rows =
-  let open Obs.Json in
-  Arr
-    (List.map
-       (fun (skew, st, seconds) ->
-         Obj
-           ((("skew", Float skew) :: Serve.count_fields st)
-           @ [
-             ("seconds", Float seconds);
-             ("requests_per_s", Float (float_of_int st.Serve.totals.requests /. seconds));
-             ( "latency_ms",
-               Obj
-                 [
-                   ("p50", Float (Serve.latency_percentile st 50.));
-                   ("p95", Float (Serve.latency_percentile st 95.));
-                   ("p99", Float (Serve.latency_percentile st 99.));
-                 ] );
-           ]))
-       rows)
 
 (* Competitive ratios on the f_N hard family, driven by the solver
    registry: every heuristic entrant (exact = None) is priced against
@@ -829,7 +482,7 @@ let conv_json (vs_rows, beyond_rows) =
     ]
 
 let write_report ~jobs ~elapsed ~runs ~total ~fails ~dp_rows ~vs_rows ~beyond_rows ~kernels
-    ~conv_rows ~serve_row ~serve_conc ~fuzz_row ~competitive ~trace_rows =
+    ~conv_rows ~fuzz_row ~competitive =
   let open Obs.Json in
   let speedup num den = if den > 0.0 then num /. den else Float.nan in
   let report =
@@ -914,19 +567,6 @@ let write_report ~jobs ~elapsed ~runs ~total ~fails ~dp_rows ~vs_rows ~beyond_ro
                kernels) );
         ("conv", conv_json conv_rows);
         ("competitive_ratio", competitive_json competitive);
-        ( "serve",
-          (let st, seconds, throughput, byte_identical = serve_row in
-           Obj
-             (Serve.count_fields st
-             @ [
-                 ("seconds", Float seconds);
-                 ("requests_per_s", Float throughput);
-                 ("byte_identical_to_oneshot", Bool byte_identical);
-               ])) );
-        ( "serve_concurrent",
-          (let requests, config, rows = serve_conc in
-           serve_concurrent_json ~requests ~config rows) );
-        ("trace", trace_json trace_rows);
         ( "fuzz",
           (let r, seconds, throughput = fuzz_row in
            Obj
@@ -949,32 +589,11 @@ let write_report ~jobs ~elapsed ~runs ~total ~fails ~dp_rows ~vs_rows ~beyond_ro
   in
   write_file "BENCH_qopt.json" report
 
-(* CI smoke mode: `--serve-concurrent N` runs only a downsampled
-   sustained-load check (jobs 1 vs 2), writes a standalone report for
-   jq schema checks, and exits 1 on any sequential/concurrent byte
-   difference. Kept cheap so it can run on every push. *)
-let serve_concurrent_smoke ~requests =
-  let mismatches, config, rows =
-    serve_concurrent_check ~requests ~jobs_list:[ 1; 2 ]
-  in
-  let open Obs.Json in
-  let report =
-    Obj
-      [
-        ("schema_version", Int 1);
-        ("kind", Str "qopt-serve-concurrent-smoke");
-        ("serve_concurrent", serve_concurrent_json ~requests ~config rows);
-      ]
-  in
-  write_file "serve-concurrent-smoke.json" report;
-  Printf.printf "\nwrote serve-concurrent-smoke.json (%d byte mismatch(es))\n" mismatches;
-  exit (if mismatches > 0 then 1 else 0)
-
-(* CI smoke mode: `--conv` runs only the conv-vs-ccp check (downsampled
-   via jobs=2), writes a standalone report for jq schema checks, and
-   exits 1 on any bit-identity or sequence-length violation. *)
+(* CI smoke mode: `--conv` runs only the conv-vs-ccp check, writes a
+   standalone report for jq schema checks, and exits 1 on any
+   bit-identity or sequence-length violation. *)
 let conv_smoke () =
-  let mismatches, vs_rows, beyond_rows = conv_check ~jobs:2 in
+  let mismatches, vs_rows, beyond_rows = conv_check () in
   let open Obs.Json in
   let report =
     Obj
@@ -989,14 +608,6 @@ let conv_smoke () =
   exit (if mismatches > 0 then 1 else 0)
 
 let () =
-  let rec smoke_scan = function
-    | "--serve-concurrent" :: v :: _ -> int_of_string_opt v
-    | _ :: rest -> smoke_scan rest
-    | [] -> None
-  in
-  (match smoke_scan (Array.to_list Sys.argv) with
-  | Some n when n >= 1 -> serve_concurrent_smoke ~requests:n
-  | Some _ | None -> ());
   if Array.exists (fun a -> a = "--conv") Sys.argv then conv_smoke ();
   let jobs =
     let rec scan = function
@@ -1040,25 +651,16 @@ let () =
     fails;
   let dp_mismatches, dp_rows = parallel_dp_check ~jobs:(Stdlib.max jobs 2) in
   let ccp_mismatches, vs_rows, beyond_rows = ccp_dp_check ~jobs:(Stdlib.max jobs 2) in
-  let conv_mismatches, conv_vs_rows, conv_beyond_rows = conv_check ~jobs:(Stdlib.max jobs 2) in
-  let serve_mismatches, serve_st, serve_s, serve_tput, serve_ident = serve_workload_check () in
-  let conc_requests = 100_000 in
-  let conc_mismatches, conc_config, conc_rows =
-    serve_concurrent_check ~requests:conc_requests ~jobs_list:[ 1; 2; 4 ]
-  in
-  let trace_violations, trace_rows = trace_skew_check () in
+  let conv_mismatches, conv_vs_rows, conv_beyond_rows = conv_check () in
   let fuzz_fails, fuzz_r, fuzz_s, fuzz_tput = fuzz_campaign_check ~jobs:(Stdlib.max jobs 2) in
   let competitive = competitive_ratio_check () in
   let kernels = run_benchmarks () in
   scaling_series ();
   write_report ~jobs ~elapsed ~runs ~total ~fails ~dp_rows ~vs_rows ~beyond_rows ~kernels
     ~conv_rows:(conv_vs_rows, conv_beyond_rows)
-    ~serve_row:(serve_st, serve_s, serve_tput, serve_ident)
-    ~serve_conc:(conc_requests, conc_config, conc_rows)
     ~fuzz_row:(fuzz_r, fuzz_s, fuzz_tput)
-    ~competitive ~trace_rows;
+    ~competitive;
   if
     fails <> [] || dp_mismatches > 0 || ccp_mismatches > 0 || conv_mismatches > 0
-    || serve_mismatches > 0 || conc_mismatches > 0 || fuzz_fails > 0
-    || trace_violations > 0
+    || fuzz_fails > 0
   then exit 1

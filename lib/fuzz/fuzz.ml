@@ -47,7 +47,6 @@ module Checks (D : DOMAIN) = struct
   module O = D.O
   module P = D.Ccp
   module K = Qo.Ik.Make (D.C)
-  module V = Qo.Conv.Make (D.C)
 
   let tol = 1e-6
   let l2 = C.to_log2
@@ -267,32 +266,6 @@ module Checks (D : DOMAIN) = struct
     match build ~graph ~sizes ~sel ~w with Some i -> i | None -> inst
 
   (* -------- oracles ------------------------------------------------- *)
-
-  let dp_vs_ccp (inst : I.t) =
-    if inst.I.n > exact_cap then Skip "n > exact cap"
-    else
-      let a = O.dp_no_cartesian inst in
-      let b = P.dp_connected inst in
-      if not (C.equal a.O.cost b.O.cost) then
-        Fail
-          (Printf.sprintf "dp_no_cartesian %s <> dp_connected %s" (show a.O.cost)
-             (show b.O.cost))
-      else if a.O.seq <> b.O.seq then Fail "dp_no_cartesian / dp_connected sequences differ"
-      else Pass
-
-  (* genuinely differential: the convolution's dense regime is flat
-     mask-indexed layers, ccp is the hash-indexed connected sublattice —
-     independent code paths that must agree bit for bit *)
-  let conv_vs_ccp (inst : I.t) =
-    if inst.I.n > exact_cap then Skip "n > exact cap"
-    else
-      let a = V.solve inst in
-      let b = P.dp_connected inst in
-      if not (C.equal a.O.cost b.O.cost) then
-        Fail
-          (Printf.sprintf "conv %s <> dp_connected %s" (show a.O.cost) (show b.O.cost))
-      else if a.O.seq <> b.O.seq then Fail "conv / dp_connected sequences differ"
-      else Pass
 
   (* drives the multi-word (Bitset) subset machinery at small n, where
      the single-word path is the reference *)
@@ -601,8 +574,6 @@ let per_domain name fr fl =
 
 let handwritten_oracles =
   [
-    per_domain "dp-vs-ccp" CR.dp_vs_ccp CL.dp_vs_ccp;
-    per_domain "conv-vs-ccp" CR.conv_vs_ccp CL.conv_vs_ccp;
     per_domain "ccp-words" CR.ccp_words CL.ccp_words;
     per_domain "dp-vs-exhaustive" CR.dp_vs_exhaustive CL.dp_vs_exhaustive;
     per_domain "dp-dominates" CR.dp_dominates CL.dp_dominates;
@@ -620,21 +591,22 @@ let handwritten_oracles =
     per_domain "heuristic-bound" CR.heuristic_bound CL.heuristic_bound;
   ]
 
-(* Auto-generated from the solver registry: every entrant beyond the
-   seed portfolio (already covered by the handwritten oracles above)
-   gets an oracle for free, written once per domain by
-   [Checks.registry_check]: [<name>-vs-dp] for an exact entrant,
+(* Generated from the solver registry, written once per domain by
+   [Checks.registry_check]: [<name>-vs-dp] for an exact entry,
    [<name>-bound] for a heuristic. A domain the entry does not support
-   skips. *)
-let seed_portfolio = [ "dp"; "ccp"; "conv"; "greedy"; "sa" ]
-
+   skips. [dp] gets none: it is the reference every generated oracle
+   compares against. *)
 let registry_oracle (e : Solver.entry) =
-  if List.mem e.Solver.name seed_portfolio then None
+  if e.Solver.name = "dp" then None
   else
     let suffix = if e.Solver.exact = None then "-bound" else "-vs-dp" in
     Some (per_domain (e.Solver.name ^ suffix) (CR.registry_check e) (CL.registry_check e))
 
 let registry_oracles = List.filter_map registry_oracle Solver.all
+
+(* Names the differential oracles of [ccp] and [conv] had before the
+   registry generated them; [--oracle] filters still accept them. *)
+let oracle_aliases = [ ("dp-vs-ccp", "ccp-vs-dp"); ("conv-vs-ccp", "conv-vs-dp") ]
 
 (* The trace oracles' generator seed, a hash of the case's dump. *)
 let trace_seed c =
@@ -723,7 +695,7 @@ let front_map_blind =
   { name = "front-map-blind"; check }
 
 let oracles =
-  handwritten_oracles @ registry_oracles @ [ trace_replay_det; front_map_blind ]
+  registry_oracles @ handwritten_oracles @ [ trace_replay_det; front_map_blind ]
 
 let oracle ~name check = { name; check }
 
@@ -939,11 +911,15 @@ let run_campaign ?pool ?(corpus = [||]) ?only ~seed ~runs () =
     match only with
     | None -> oracles
     | Some names ->
-        List.iter
-          (fun name ->
-            if not (List.exists (fun o -> o.name = name) oracles) then
-              invalid_arg (Printf.sprintf "Fuzz.run_campaign: unknown oracle %S" name))
-          names;
+        let names =
+          List.map
+            (fun name ->
+              let target = Option.value ~default:name (List.assoc_opt name oracle_aliases) in
+              if not (List.exists (fun o -> o.name = target) oracles) then
+                invalid_arg (Printf.sprintf "Fuzz.run_campaign: unknown oracle %S" name);
+              target)
+            names
+        in
         List.filter (fun o -> List.mem o.name names) oracles
   in
   let t0 = Unix.gettimeofday () in

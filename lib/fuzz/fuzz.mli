@@ -53,9 +53,18 @@ type oracle = private {
 }
 
 val oracles : oracle list
-(** The registry, in fixed order:
-    [dp-vs-ccp] (lattice-vs-connected DP bit-identity, cost {e and}
-    sequence, infeasible included), [dp-vs-exhaustive] (small-n cost
+(** The registry, in fixed order. First the oracles generated from the
+    solver registry ({!registry_oracle}), one per {!Solver.all} entry
+    but [dp], in registry order: [ccp-vs-dp], [conv-vs-dp],
+    [greedy-bound], [sa-bound], [simpli-bound], [milp-vs-dp]. The two
+    [-vs-dp] oracles of the cartesian-free solvers are the
+    lattice-vs-connected DP differential (cost {e and} sequence,
+    infeasible included): [ccp-vs-dp] compares the hash-indexed
+    connected sublattice with the flat lattice, while [conv-vs-dp]
+    checks only [conv]'s dispatch at fuzz sizes ([n <= 12] is its dense
+    regime, which is {!Qo.Opt.Make.dp_no_cartesian} itself). Then the
+    handwritten ones: [ccp-words] (single-word vs multi-word ccp),
+    [dp-vs-exhaustive] (small-n cost
     agreement), [dp-dominates] (unconstrained DP never beaten by the
     cartesian-free one), [ik-tree] (Ibaraki–Kameda optimal on trees),
     [rat-vs-log] (cost-domain agreement within tolerance, rational
@@ -69,10 +78,9 @@ val oracles : oracle list
     dump byte-identity, and the parse's canonical text equals the
     dump), [scale-monotone] (optimum does not decrease
     when all sizes and access costs scale up), [heuristic-bound]
-    (greedy/II/SA plans are valid permutations, report their true cost,
-    and never beat the exact optimum). Registry entrants beyond the
-    seed portfolio get auto-generated [<name>-vs-dp] / [<name>-bound]
-    oracles. Two trace oracles close the registry, each sampled 1-in-4
+    (greedy/II/SA plans, [Min_size] greedy and a short SA included, are
+    valid permutations, report their true cost, and never beat the
+    exact optimum). Two trace oracles close the registry, each sampled 1-in-4
     by instance size to bound campaign cost, with the case seeding a
     small {!Trace} workload: [trace-replay-det] (the trace must
     generate byte-identically per params and replay byte-identically —
@@ -88,8 +96,8 @@ val registry_oracle : Solver.entry -> oracle option
     its claimed cost and never beats the optimum. Both run up to the
     entry's diff cap, in every domain the entry supports ({!Solver.DOMAIN}'s
     [solve]); a domain it does not support skips with
-    ["rational-domain oracle"]. [None] for the seed portfolio
-    ([dp ccp conv greedy sa]), which the handwritten oracles cover. *)
+    ["rational-domain oracle"]. [None] for [dp], the reference every
+    generated oracle compares against. *)
 
 val oracle : name:string -> (case -> outcome) -> oracle
 (** Build a custom oracle — the registry extension point, also how
@@ -176,7 +184,10 @@ val run_campaign :
     Updates [fuzz.runs], [fuzz.failures], [fuzz.shrink_steps] and the
     per-oracle counters. [?only] restricts the campaign to the named
     oracles (the case stream is unchanged — same seeds, same
-    instances); unknown names raise [Invalid_argument]. *)
+    instances); unknown names raise [Invalid_argument]. The former
+    names [dp-vs-ccp] and [conv-vs-ccp] select [ccp-vs-dp] and
+    [conv-vs-dp]; a name given twice, or with its alias, counts
+    once. *)
 
 val replay : case -> (string * outcome) list
 (** Every oracle's outcome on one case — the reproducer/corpus replay

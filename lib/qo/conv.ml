@@ -7,45 +7,32 @@
 
     is a (min, +)-semiring product over the subset lattice: layer [k]
     (all subsets of cardinality [k]) is the tropical convolution of
-    layer [k - 1] with the singleton-step kernel. [solve] evaluates it
-    rank by rank over two regimes:
+    layer [k - 1] with the singleton-step kernel. For the [QO_N] cost
+    the convolution has no shortcut over the plain lattice sweep (the
+    super-polynomial gain of arXiv 2409.08013 is for the C_max cost),
+    so [solve] is a dispatcher over two regimes:
 
-    - {b dense} ([n <= dense_max_n]): the full [2^n] lattice in flat
-      mask-indexed arrays, counting-sorted into popcount layers —
-      no hashing, no enumeration recursion, layer-parallel on
-      {!Pool}. This is the lattice DP ({!Lattice.Make.dense}, the
-      kernel of {!Opt.Make.dp_no_cartesian}) swept by rank, not the
-      fast subset convolution of arXiv 2409.08013, whose
-      super-polynomial gain is for the C_max cost, not [QO_N]. On
-      clique-ish graphs, where every subset is connected, it takes
-      less time than {!Ccp.Make.dp_connected} at matched [n] only
-      because it finds a subset's slot by its mask, not by a hash
-      lookup (single-shot timings in the [conv] section of
-      BENCH_qopt.json).
+    - {b dense} ([n <= dense_max_n]): the full [2^n] lattice, which is
+      {!Opt.Make.dp_no_cartesian} itself — flat mask-indexed arrays,
+      no hashing, layer-parallel on {!Pool} past
+      {!Lattice.par_min_n}.
     - {b sparse} ([dense_max_n < n <= max_conv_n]): the convolution
       restricted to the connected-subset sublattice — every feasible
       prefix is connected, so all other lattice points carry the
       semiring zero ([C.infinity]) and are skipped wholesale. This is
-      exactly {!Ccp.Make.dp_connected}'s table, so [solve] delegates
-      to it (multi-word subsets past [n = 61]; chains and trees scale
-      to [n] in the hundreds).
+      exactly {!Ccp.Make.dp_connected}'s table (multi-word subsets past
+      [n = 61]; chains and trees scale to [n] in the hundreds).
 
     {b Equivalence guarantee.} [solve] is bit-identical (cost and
     sequence) to {!Opt.Make.dp_no_cartesian} and
-    {!Ccp.Make.dp_connected} on every [n] all of them admit: the dense
-    regime replays the lattice DP's exact transition order
-    (lowest-bit-first size evaluation, ascending candidate scan,
-    strict improvement), and the sparse regime shares [Ccp]'s engine.
-    Enforced by the [conv-vs-ccp] differential fuzz oracle and
-    property tests in both cost domains. *)
+    {!Ccp.Make.dp_connected} on every [n] all of them admit, because
+    each regime {e is} one of them. Enforced by the [conv-vs-dp] fuzz
+    oracle and property tests in both cost domains. *)
 
 (* Shared across [Make] applications ([Obs.counter] is idempotent by
-   name). [conv.dense.*] count lattice points and transitions of the
-   dense regime only; sparse runs surface through [ccp.dp.*] plus
-   [conv.sparse.runs]. *)
+   name). The dense regime's lattice work counts in [opt.dp.*], the
+   sparse regime's in [ccp.dp.*]. *)
 let c_runs = Obs.counter "conv.runs"
-let c_dense_subsets = Obs.counter "conv.dense.subsets_enumerated"
-let c_dense_transitions = Obs.counter "conv.dense.transitions"
 let c_sparse_runs = Obs.counter "conv.sparse.runs"
 
 module Make (C : Cost.S) = struct
@@ -62,28 +49,11 @@ module Make (C : Cost.S) = struct
       subsets cap there. *)
   let max_conv_n = P.max_ccp_n
 
-  module L = Lattice.Make (C)
-
-  (* Dense regime: the rank-by-rank tropical convolution over the full
-     lattice, through the shared certified key filter ({!Lattice}).
-     Bit-identical to [Opt.dp_generic ~no_cartesian:true] — same size
-     evaluation, candidate order, improvement rule — with the lattice
-     always swept in popcount layers (the convolution's rank
-     structure), sequential or pool-parallel. *)
-  let solve_dense ?pool (inst : I.t) n : O.plan =
-    Obs.add c_dense_subsets (1 lsl n);
-    let cost, seq =
-      L.dense ?pool ~layered:true ~layer_span:"conv.dense.layer." ~transitions:c_dense_transitions
-        ~cartesian:false inst
-    in
-    { O.cost; seq }
-
-  (** Exact optimum over cartesian-product-free join sequences by
-      layered tropical subset convolution; cost [C.infinity] (empty
-      sequence) when the query graph is disconnected. Bit-identical to
-      {!Opt.Make.dp_no_cartesian} and {!Ccp.Make.dp_connected} where
-      they admit. With [?pool] each rank layer is evaluated in
-      parallel; results are bit-identical at every job count.
+  (** Exact optimum over cartesian-product-free join sequences; cost
+      [C.infinity] (empty sequence) when the query graph is
+      disconnected. Bit-identical to {!Opt.Make.dp_no_cartesian} and
+      {!Ccp.Make.dp_connected} where they admit, and at every job count
+      of [?pool].
       @raise Invalid_argument when [n = 0] or [n > max_conv_n]. *)
   let solve ?pool (inst : I.t) : O.plan =
     let n = I.n inst in
@@ -92,7 +62,7 @@ module Make (C : Cost.S) = struct
     if n = 0 then invalid_arg "Conv.solve: empty instance";
     Obs.span "conv.solve" @@ fun () ->
     Obs.incr c_runs;
-    if n <= dense_max_n then solve_dense ?pool inst n
+    if n <= dense_max_n then O.dp_no_cartesian ?pool inst
     else begin
       Obs.incr c_sparse_runs;
       P.dp_connected ?pool inst

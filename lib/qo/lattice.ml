@@ -1,6 +1,6 @@
 (** The certified key filter shared by the exact subset-lattice kernels:
-    {!Opt.Make.dp} / [dp_no_cartesian], {!Conv.Make.solve}'s dense
-    regime and {!Ccp.Make.dp_connected}'s one-word path.
+    {!Opt.Make.dp} / [dp_no_cartesian] (and so {!Conv.Make.solve}'s
+    dense regime) and {!Ccp.Make.dp_connected}'s one-word path.
 
     Every kernel evaluates the same recurrence
 
@@ -97,6 +97,7 @@
     parallel key pass and resolved by {!settle}, sequentially, before
     the next layer starts. *)
 
+let c_transitions = Obs.counter "opt.dp.transitions"
 let c_exact_candidates = Obs.counter "opt.dp.exact_candidates"
 let c_near_ties = Obs.counter "opt.dp.near_ties"
 let c_exact_adds = Obs.counter "opt.dp.exact_adds"
@@ -466,64 +467,47 @@ module Make (C : Cost.S) = struct
     !c
 
   (** The full lattice over [n] vertices: every mask is its own slot.
-      Pool-parallel by popcount layer (spans [layer_span ^ k]) when
+      Pool-parallel by popcount layer (spans [opt.dp.layer.<k>]) when
       [pool] has more than one job and [n >= par_min_n]; otherwise
-      sequential, in popcount layers with the same spans when
-      [layered], else in increasing mask order. [transitions] counts
+      sequential in increasing mask order. [opt.dp.transitions] counts
       every scanned candidate. *)
-  let dense ?pool ~layered ~layer_span ~transitions ~cartesian (inst : I.t) =
+  let dense ?pool ~cartesian (inst : I.t) =
     let n = I.n inst in
     let full = (1 lsl n) - 1 in
     let t = create inst ~adj:(adjacency inst) ~slots:(full + 1) ~slot:Fun.id in
-    let by_layer () =
-      (* counting sort of the masks into popcount layers *)
-      let off = Array.make (n + 2) 0 in
-      for s = 0 to full do
-        let k = popcount s in
-        off.(k + 1) <- off.(k + 1) + 1
-      done;
-      for k = 1 to n + 1 do
-        off.(k) <- off.(k) + off.(k - 1)
-      done;
-      let cursor = Array.copy off in
-      let masks = Array.make (full + 1) 0 in
-      for s = 0 to full do
-        let k = popcount s in
-        masks.(cursor.(k)) <- s;
-        cursor.(k) <- cursor.(k) + 1
-      done;
-      (off, masks)
-    in
-    let spanned k f =
-      (* dynamic name: only pay the concatenation when spans record *)
-      if Obs.enabled () then Obs.span (layer_span ^ string_of_int k) f else f ()
-    in
-    let fill_dp ~defer s = Obs.add transitions (fill t ~cartesian ~defer s s) in
+    let fill_dp ~defer s = Obs.add c_transitions (fill t ~cartesian ~defer s s) in
     (match pool with
     | Some pool when Pool.jobs pool > 1 && n >= par_min_n ->
-        let off, masks = by_layer () in
+        (* counting sort of the masks into popcount layers *)
+        let off = Array.make (n + 2) 0 in
+        for s = 0 to full do
+          let k = popcount s in
+          off.(k + 1) <- off.(k + 1) + 1
+        done;
+        for k = 1 to n + 1 do
+          off.(k) <- off.(k) + off.(k - 1)
+        done;
+        let cursor = Array.copy off in
+        let masks = Array.make (full + 1) 0 in
+        for s = 0 to full do
+          let k = popcount s in
+          masks.(cursor.(k)) <- s;
+          cursor.(k) <- cursor.(k) + 1
+        done;
         for k = 1 to n do
           Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun i ->
               fill_size t masks.(i) masks.(i))
         done;
         for k = 2 to n do
-          spanned k (fun () ->
-              Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun i ->
-                  fill_dp ~defer:true masks.(i));
-              for i = off.(k) to off.(k + 1) - 1 do
-                settle t ~cartesian masks.(i) masks.(i)
-              done)
-        done
-    | _ when layered ->
-        let off, masks = by_layer () in
-        for i = off.(1) to full do
-          fill_size t masks.(i) masks.(i)
-        done;
-        for k = 2 to n do
-          spanned k (fun () ->
-              for i = off.(k) to off.(k + 1) - 1 do
-                fill_dp ~defer:false masks.(i)
-              done)
+          (* dynamic name: only pay the concatenation when spans record *)
+          let layer () =
+            Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun i ->
+                fill_dp ~defer:true masks.(i));
+            for i = off.(k) to off.(k + 1) - 1 do
+              settle t ~cartesian masks.(i) masks.(i)
+            done
+          in
+          if Obs.enabled () then Obs.span ("opt.dp.layer." ^ string_of_int k) layer else layer ()
         done
     | _ ->
         for s = 1 to full do

@@ -89,7 +89,6 @@
    counters. *)
 let c_dp_runs = Obs.counter "opt.dp.runs"
 let c_dp_subsets = Obs.counter "opt.dp.subsets"
-let c_dp_transitions = Obs.counter "opt.dp.transitions"
 let c_heur_steps = Obs.counter "opt.heur.steps"
 let c_heur_exact = Obs.counter "opt.heur.exact_prices"
 
@@ -179,10 +178,7 @@ module Make (C : Cost.S) = struct
     let full = (1 lsl n) - 1 in
     Obs.incr c_dp_runs;
     Obs.add c_dp_subsets (full + 1);
-    let cost, seq =
-      L.dense ?pool ~layered:false ~layer_span:"opt.dp.layer." ~transitions:c_dp_transitions
-        ~cartesian:(not no_cartesian) inst
-    in
+    let cost, seq = L.dense ?pool ~cartesian:(not no_cartesian) inst in
     { cost; seq }
 
   (** Exact optimum by subset DP. With [?pool] (and more than one

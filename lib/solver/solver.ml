@@ -100,12 +100,10 @@ let all =
       label = "exact CV (subset convolution)";
       explain_label = "exact CV subset convolution";
       doc =
-        "max-plus subset convolution: cardinality-layered lattice sweep on dense \
-         graphs, connected DP on sparse ones — same plan bit-for-bit at any \
+        "max-plus subset convolution: the cartesian-free lattice DP up to \
+         $(i,n) = 23, connected DP beyond — same plan bit-for-bit at any \
          admissible $(i,n)";
-      (* dense regime walks the full lattice like dp, but past
-         [dense_max_n] it delegates to the cartesian-free connected DP,
-         so the only claim that holds across regimes is the weaker one *)
+      (* both regimes are cartesian-free solvers *)
       exact = Some Cartesian_free;
       cap_name = "Conv.max_conv_n";
       cap = Qo.Instances.Conv_rat.max_conv_n;

@@ -54,22 +54,25 @@ let test_oracles_clean () =
 
 (* The registry's order and names are part of the report schema. *)
 let test_registry () =
-  check_int "registry size" 18 (List.length Fuzz.oracles);
+  check_int "registry size" 20 (List.length Fuzz.oracles);
   check "registry size floor" true (List.length Fuzz.oracles >= 15);
   check_str "trace-replay-det keeps its slot" "trace-replay-det"
-    (List.nth Fuzz.oracles 16).Fuzz.name;
+    (List.nth Fuzz.oracles 18).Fuzz.name;
   check_str "front-map-blind closes the registry" "front-map-blind"
-    (List.nth Fuzz.oracles 17).Fuzz.name;
-  check_str "first oracle" "dp-vs-ccp" (List.hd Fuzz.oracles).Fuzz.name;
+    (List.nth Fuzz.oracles 19).Fuzz.name;
+  check_str "first oracle" "ccp-vs-dp" (List.hd Fuzz.oracles).Fuzz.name;
   let names = List.map (fun o -> o.Fuzz.name) Fuzz.oracles in
   check "ik-tree registered" true (List.mem "ik-tree" names);
   check "rat-vs-log registered" true (List.mem "rat-vs-log" names);
-  check "conv-vs-ccp registered" true (List.mem "conv-vs-ccp" names);
   check "ccp-words registered" true (List.mem "ccp-words" names);
   check "served-control registered" true (List.mem "served-control" names);
-  (* solver-registry entrants are auto-covered *)
-  check "milp-vs-dp registered" true (List.mem "milp-vs-dp" names);
-  check "simpli-bound registered" true (List.mem "simpli-bound" names)
+  check "heuristic-bound registered" true (List.mem "heuristic-bound" names);
+  (* every solver-registry entry but the dp reference is generated *)
+  List.iter
+    (fun name -> check (name ^ " registered") true (List.mem name names))
+    [ "ccp-vs-dp"; "conv-vs-dp"; "greedy-bound"; "sa-bound"; "simpli-bound"; "milp-vs-dp" ];
+  check "the former names are not registry rows" false
+    (List.mem "dp-vs-ccp" names || List.mem "conv-vs-ccp" names)
 
 (* ------------------------------------------------- registry oracles *)
 
@@ -147,22 +150,31 @@ let test_registry_oracle_misreported_cost () =
   expect_fail "rat" (Fuzz.check_case o (Fuzz.Rat ri));
   expect_fail "log" (Fuzz.check_case o (Fuzz.Log li))
 
-(* The rational-only MILP entry skips log cases; the seed portfolio
-   gets no generated oracle (its handwritten ones cover it). *)
+(* The rational-only MILP entry skips log cases; dp, the reference,
+   gets no generated oracle, and ccp, conv, greedy and sa get one each. *)
 let test_registry_oracle_domains () =
   let _, li = Lazy.force greedy_suboptimal in
   check_str "milp on log" "skip: rational-domain oracle"
     (outcome_str (Fuzz.check_case (generated (entry "milp")) (Fuzz.Log li)));
-  check "seed portfolio exempt" true (Option.is_none (Fuzz.registry_oracle (entry "dp")))
+  check "dp gets no oracle" true (Option.is_none (Fuzz.registry_oracle (entry "dp")));
+  List.iter
+    (fun (name, oracle) -> check_str name oracle (generated (entry name)).Fuzz.name)
+    [ ("ccp", "ccp-vs-dp"); ("conv", "conv-vs-dp"); ("greedy", "greedy-bound"); ("sa", "sa-bound") ]
 
 (* [?only] restricts the oracle set without disturbing the seeded case
    stream, and rejects unknown names. *)
 let test_campaign_only () =
-  let r = Fuzz.run_campaign ~only:[ "conv-vs-ccp" ] ~seed:5 ~runs:10 () in
+  let r = Fuzz.run_campaign ~only:[ "conv-vs-dp" ] ~seed:5 ~runs:10 () in
   check_int "one oracle" 1 (List.length r.Fuzz.per_oracle);
-  check_str "the conv oracle" "conv-vs-ccp" (fst (List.hd r.Fuzz.per_oracle));
+  check_str "the conv oracle" "conv-vs-dp" (fst (List.hd r.Fuzz.per_oracle));
   check_int "checks = runs" 10 r.Fuzz.checks;
   check_int "no failures" 0 r.Fuzz.fails;
+  (* the former names resolve to the generated rows; an alias given
+     with its target counts once *)
+  let a = Fuzz.run_campaign ~only:[ "dp-vs-ccp"; "conv-vs-ccp"; "conv-vs-dp" ] ~seed:5 ~runs:10 () in
+  check "aliases resolve" true
+    (List.map fst a.Fuzz.per_oracle = [ "ccp-vs-dp"; "conv-vs-dp" ]);
+  check_int "alias and target count once" 20 a.Fuzz.checks;
   Alcotest.check_raises "unknown oracle rejected"
     (Invalid_argument "Fuzz.run_campaign: unknown oracle \"no-such\"") (fun () ->
       ignore (Fuzz.run_campaign ~only:[ "no-such" ] ~seed:5 ~runs:1 ()))

@@ -889,39 +889,49 @@ let test_control_requests () =
     ^ "#hist solve\n" ^ "#hist nope\n"
   in
   let plain_out, _ = Serve.serve_string plain_in in
-  let before = Obs.snapshot () in
-  let ctl_out, st = Serve.serve_string ctl_in in
-  let d = Obs.diff before (Obs.snapshot ()) in
-  let stripped, controls = Serve.split_control ctl_out in
-  Alcotest.(check string) "non-control bytes identical to control-free run" plain_out
-    stripped;
-  Alcotest.(check int) "controls are not requests" 2 st.Serve.totals.requests;
-  Alcotest.(check (option int)) "control counter bumped once per control" (Some 4)
-    (List.assoc_opt "serve.control.requests" d);
-  match controls with
-  | [ (h_health, b_health); (h_stats, b_stats); (h_solve, b_solve); (h_err, b_err) ] ->
-      Alcotest.(check string) "health header" "control health status=ok" h_health;
-      Alcotest.(check bool) "health kind" true
-        (member_of b_health "kind" = Some (Obs.Json.Str "qopt-serve-control"));
-      Alcotest.(check bool) "health schema_version" true
-        (member_of b_health "schema_version" = Some (Obs.Json.Int 1));
-      Alcotest.(check bool) "health at stream head: nothing accepted yet" true
-        (member_of b_health "accepted" = Some (Obs.Json.Int 0));
-      Alcotest.(check string) "stats header" "control stats status=ok" h_stats;
-      Alcotest.(check bool) "stats accepted is the reader-side arrival count" true
-        (member_of b_stats "accepted" = Some (Obs.Json.Int 1));
-      Alcotest.(check bool) "stats carries totals" true (member_of b_stats "totals" <> None);
-      Alcotest.(check string) "hist header carries the series name"
-        "control hist status=ok name=solve" h_solve;
-      Alcotest.(check bool) "hist body has buckets" true
-        (match member_of b_solve "hist" with
-        | Some h -> Obs.Json.member "buckets" h <> None
-        | None -> false);
-      Alcotest.(check string) "unknown series is a status=error block"
-        "control hist status=error" h_err;
-      Alcotest.(check bool) "error body names the valid series" true
-        (contains b_err "error: unknown histogram" && contains b_err "solve")
-  | l -> Alcotest.failf "expected 4 control blocks, got %d" (List.length l)
+  (* mid-stream controls through the concurrent pipeline too: [accepted]
+     is the reader-side arrival count, so it is the same at any jobs *)
+  List.iter
+    (fun jobs ->
+      let at what = Printf.sprintf "%s (jobs=%d)" what jobs in
+      let before = Obs.snapshot () in
+      let ctl_out, st =
+        if jobs <= 1 then Serve.serve_string ctl_in
+        else Pool.with_pool ~jobs (fun pool -> Serve.serve_string ~pool ctl_in)
+      in
+      let d = Obs.diff before (Obs.snapshot ()) in
+      let stripped, controls = Serve.split_control ctl_out in
+      Alcotest.(check string) (at "non-control bytes identical to control-free run") plain_out
+        stripped;
+      Alcotest.(check int) (at "controls are not requests") 2 st.Serve.totals.requests;
+      Alcotest.(check (option int)) (at "control counter bumped once per control") (Some 4)
+        (List.assoc_opt "serve.control.requests" d);
+      match controls with
+      | [ (h_health, b_health); (h_stats, b_stats); (h_solve, b_solve); (h_err, b_err) ] ->
+          Alcotest.(check string) (at "health header") "control health status=ok" h_health;
+          Alcotest.(check bool) (at "health kind") true
+            (member_of b_health "kind" = Some (Obs.Json.Str "qopt-serve-control"));
+          Alcotest.(check bool) (at "health schema_version") true
+            (member_of b_health "schema_version" = Some (Obs.Json.Int 1));
+          Alcotest.(check bool) (at "health at stream head: nothing accepted yet") true
+            (member_of b_health "accepted" = Some (Obs.Json.Int 0));
+          Alcotest.(check string) (at "stats header") "control stats status=ok" h_stats;
+          Alcotest.(check bool) (at "stats accepted is the reader-side arrival count") true
+            (member_of b_stats "accepted" = Some (Obs.Json.Int 1));
+          Alcotest.(check bool) (at "stats carries totals") true
+            (member_of b_stats "totals" <> None);
+          Alcotest.(check string) (at "hist header carries the series name")
+            "control hist status=ok name=solve" h_solve;
+          Alcotest.(check bool) (at "hist body has buckets") true
+            (match member_of b_solve "hist" with
+            | Some h -> Obs.Json.member "buckets" h <> None
+            | None -> false);
+          Alcotest.(check string) (at "unknown series is a status=error block")
+            "control hist status=error" h_err;
+          Alcotest.(check bool) (at "error body names the valid series") true
+            (contains b_err "error: unknown histogram" && contains b_err "solve")
+      | l -> Alcotest.failf "expected 4 control blocks at jobs=%d, got %d" jobs (List.length l))
+    [ 1; 2 ]
 
 (* Satellite: the #stats totals key list is a pinned schema. Scrapers
    and the replay harness key on these exact field names in this exact

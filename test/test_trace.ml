@@ -163,7 +163,7 @@ let test_hostile_codes () =
 
 (* The headline signal: with a fixed pool larger than the cache,
    hotter skew concentrates traffic on fewer instances and the hit
-   rate must rise. *)
+   rate must rise strictly from skew to skew. *)
 let test_hit_rate_rises_with_skew () =
   let config = { Serve.default_config with Serve.cache_capacity = 32 } in
   let rate skew =
@@ -183,10 +183,10 @@ let test_hit_rate_rises_with_skew () =
     float_of_int st.Serve.totals.cache_hits
     /. float_of_int (st.Serve.totals.cache_hits + st.Serve.totals.cache_misses)
   in
-  let cold = rate 0.2 and hot = rate 1.4 in
-  if not (hot > cold) then
-    Alcotest.failf "hit rate did not rise with skew: %.4f (s=0.2) vs %.4f (s=1.4)" cold
-      hot
+  let cold = rate 0.2 and warm = rate 0.8 and hot = rate 1.4 in
+  if not (warm > cold && hot > warm) then
+    Alcotest.failf "hit rate did not rise with skew: %.4f (s=0.2), %.4f (s=0.8), %.4f (s=1.4)"
+      cold warm hot
 
 (* ---------------- report ---------------- *)
 
