@@ -55,38 +55,3 @@ end
 
 module Log = Make (Log_cost)
 module Rat = Make (Rat_cost)
-
-(** [QO_H] plan report: fragments, memory allocations, per-fragment
-    costs. *)
-let render_hash (inst : Hash.t) (seq : int array) (decomposition : Hash.decomposition) =
-  let ns = Hash.prefix_sizes inst seq in
-  let buf = Buffer.create 512 in
-  let cl v =
-    let l = Logreal.to_log2 v in
-    if Float.abs l <= 40.0 && Float.is_finite l then Logreal.to_string v
-    else Printf.sprintf "2^%.1f" l
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "Pipeline plan over %d relations, %d fragment(s); memory M = %s\n"
-       (Array.length seq) (List.length decomposition) (cl inst.Hash.memory));
-  List.iter
-    (fun (i, k) ->
-      let cost = Hash.pipeline_cost inst ~ns seq ~i ~k in
-      Buffer.add_string buf
-        (Printf.sprintf "  fragment joins %d..%d: read %s, write %s, cost %s\n" i k
-           (cl ns.(i - 1)) (cl ns.(k)) (cl cost));
-      match Hash.allocate inst ~ns seq ~i ~k with
-      | None -> Buffer.add_string buf "    INFEASIBLE: hash tables exceed memory\n"
-      | Some allocs ->
-          List.iter
-            (fun a ->
-              let starved =
-                Logreal.to_log2 a.Hash.memory_given < Logreal.to_log2 a.Hash.inner -. 1e-6
-              in
-              Buffer.add_string buf
-                (Printf.sprintf "    J_%d: inner R%d (%s pages), memory %s%s\n" a.Hash.join
-                   seq.(a.Hash.join) (cl a.Hash.inner) (cl a.Hash.memory_given)
-                   (if starved then "  [partitioned]" else "")))
-            allocs)
-    decomposition;
-  Buffer.contents buf

@@ -218,12 +218,6 @@ module Make (C : Cost.S) = struct
     mutable priced : int;  (** candidates and plan spans priced exactly *)
   }
 
-  (* ascending keys, [-0.] before [0.]: the first member of a set in a
-     row sorted this way holds [Float.min]'s pick over the set, which is
-     the log domain's [C.min] *)
-  let key_order a b =
-    match Float.compare a b with 0 -> Bool.compare (Float.sign_bit b) (Float.sign_bit a) | c -> c
-
   let zero_key = C.to_log2 C.zero
 
   let pricer (inst : I.t) =
@@ -244,8 +238,9 @@ module Make (C : Cost.S) = struct
           incr e)
         (Ugraph.neighbors g v)
     done;
-    let wk = Array.map (Array.map C.to_log2) inst.I.w in
-    let order = Lattice.row_order key_order wk in
+    let wcol, wsorted =
+      Lattice.sorted_rows (Float.Array.init (n * n) (fun i -> C.to_log2 inst.I.w.(i / n).(i mod n))) n
+    in
     (* operations behind a whole plan's key: n size products, one per
        edge, n - 1 access-cost products and n - 1 sums, and the
        subtraction of a comparison *)
@@ -258,8 +253,8 @@ module Make (C : Cost.S) = struct
       nbr_off;
       nbr;
       nbr_skey;
-      wcol = Array.init (n * n) (fun i -> order.(i / n).(i mod n));
-      wsorted = Float.Array.init (n * n) (fun i -> wk.(i / n).(order.(i / n).(i mod n)));
+      wcol;
+      wsorted;
       seq = Array.make n 0;
       pos = Array.make n n;
       mw = Float.Array.make n 0.0;

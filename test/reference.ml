@@ -5,7 +5,68 @@
    [Opt.greedy]'s loop as it was before [Min_cost] stopped computing
    the unused [Min_size] product, and [Opt.simulated_annealing] as it
    was before it priced moves on keys. Each is verbatim but for what
-   its comment names. *)
+   its comment names. [Chain_dp] is new: an interval DP for chains
+   that shares no code with the kernels it checks. *)
+
+(* The cartesian-product-free DP on a chain [0 - 1 - ... - n-1], all in
+   the exact domain and written against the chain's shape alone (no
+   [Ccp], no [Lattice]): the connected subsets are the intervals
+   [[a, b]], and the candidates of [[a, b]] are its two ends, scanned
+   ascending ([a], then [b]) under the first-strict-improvement rule.
+   The operands follow the kernels' order: [N([a, b])] multiplies
+   lowest member first, [N([a + 1, b]) * t_a * s_(a, a+1)], and a
+   candidate is [dp(rest) + N(rest) * min_w(j, rest)] with [min_w] the
+   ascending scan's first strict minimum. Finite instances only. *)
+module Chain_dp (C : Qo.Cost.S) = struct
+  module N = Qo.Nl.Make (C)
+
+  let solve (inst : N.t) =
+    let n = inst.N.n in
+    for i = 0 to n - 2 do
+      if not (Graphlib.Ugraph.has_edge inst.N.graph i (i + 1)) then invalid_arg "Chain_dp: not a chain"
+    done;
+    if Graphlib.Ugraph.edge_count inst.N.graph <> n - 1 then invalid_arg "Chain_dp: not a chain";
+    (* [size.(a).(b)], [dp.(a).(b)], [last.(a).(b)] for the interval [[a, b]] *)
+    let size = Array.make_matrix n n C.one and dp = Array.make_matrix n n C.zero in
+    let last = Array.make_matrix n n (-1) in
+    for b = 0 to n - 1 do
+      size.(b).(b) <- C.mul C.one inst.N.sizes.(b);
+      last.(b).(b) <- b;
+      for a = b - 1 downto 0 do
+        size.(a).(b) <- C.mul (C.mul size.(a + 1).(b) inst.N.sizes.(a)) inst.N.sel.(a).(a + 1)
+      done
+    done;
+    let min_w j a b =
+      let best = ref C.infinity in
+      for u = a to b do
+        if C.compare inst.N.w.(j).(u) !best < 0 then best := inst.N.w.(j).(u)
+      done;
+      !best
+    in
+    for len = 2 to n do
+      for a = 0 to n - len do
+        let b = a + len - 1 in
+        let best = ref C.infinity and arg = ref (-1) in
+        List.iter
+          (fun (j, ra, rb) ->
+            let c = C.add dp.(ra).(rb) (C.mul size.(ra).(rb) (min_w j ra rb)) in
+            if C.compare c !best < 0 then begin
+              best := c;
+              arg := j
+            end)
+          [ (a, a + 1, b); (b, a, b - 1) ];
+        dp.(a).(b) <- !best;
+        last.(a).(b) <- !arg
+      done
+    done;
+    let seq = Array.make n (-1) and a = ref 0 and b = ref (n - 1) in
+    for p = n - 1 downto 0 do
+      let j = last.(!a).(!b) in
+      seq.(p) <- j;
+      if j = !a then incr a else decr b
+    done;
+    (dp.(0).(n - 1), seq)
+end
 
 module Io = struct
   let dump_generic ~scalar_to_string ~(n : int) ~graph ~sizes ~sel ~w =
