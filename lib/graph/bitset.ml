@@ -35,9 +35,14 @@ let remove t i =
 
 let mem t i = i >= 0 && i < t.n && (t.words.(i / word_bits) lsr (i mod word_bits)) land 1 = 1
 
-let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
+(* SWAR over the two 32-bit halves (the upper one 31 bits wide) *)
+let popcount m =
+  let half x =
+    let x = x - ((x lsr 1) land 0x55555555) in
+    let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+    ((((x + (x lsr 4)) land 0x0F0F0F0F) * 0x01010101) land 0xFFFFFFFF) lsr 24
+  in
+  half (m land 0xFFFFFFFF) + half (m lsr 32)
 
 (* de Bruijn multiply-and-lookup over 32-bit halves: [db32] times a
    power of two 2^k (k < 32) has a distinct top-5-bit window for each

@@ -168,6 +168,24 @@ let test_bit_index () =
       (Bitset.bit_index (1 lsl k))
   done
 
+(* [popcount] (the SWAR count behind [cardinal] and the lattice's
+   cardinality layers) against a bit loop, on every prefix and suffix
+   of a word, so the sign bit and the 32-bit split are covered. *)
+let test_popcount () =
+  let loop x =
+    let c = ref 0 in
+    for k = 0 to Sys.int_size - 1 do
+      c := !c + ((x lsr k) land 1)
+    done;
+    !c
+  in
+  for k = 0 to Sys.int_size do
+    let prefix = if k = Sys.int_size then -1 else (1 lsl k) - 1 in
+    List.iter
+      (fun x -> Alcotest.(check int) (Printf.sprintf "%x" x) (loop x) (Bitset.popcount x))
+      [ prefix; lnot prefix; prefix lxor 0x5555555555555555 ]
+  done
+
 (* Every interval [i, j] of a path on n vertices, inserted into a table
    sized like [Ccp]'s subset index (2 x count): the word hash must
    spread them. A fold that keeps the low bits of the top word puts
@@ -511,6 +529,7 @@ let () =
           Alcotest.test_case "word boundaries: full/prefix/add/remove" `Quick
             test_bitset_boundary_full;
           Alcotest.test_case "bit_index = shift loop on every bit" `Quick test_bit_index;
+          Alcotest.test_case "popcount = bit loop, sign bit included" `Quick test_popcount;
           Alcotest.test_case "hash spreads path intervals" `Quick test_hash_intervals;
         ]
         @ List.map QCheck_alcotest.to_alcotest
