@@ -45,7 +45,10 @@ let[@inline] add (a : t) (b : t) : t =
   else if b = neg_infinity then a
   else if a = Float.infinity || b = Float.infinity then Float.infinity
   else begin
-    let hi = Float.max a b and lo = Float.min a b in
+    (* not [Float.max] / [min], whose signed-zero test calls C: the
+       choice differs only on zeros of opposite sign, where [hi +. 1.]
+       drops the sign anyway *)
+    let hi = if a >= b then a else b and lo = if a >= b then b else a in
     hi +. (Float.log1p (Float.pow 2.0 (lo -. hi)) /. ln2)
   end
 

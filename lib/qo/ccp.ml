@@ -334,21 +334,25 @@ module Make (C : Cost.S) = struct
       done;
       Obs.add c_probes !probes;
       probes := 0;
-      let fill_dp ~defer si = L.fill t ~cartesian:true ~defer si ~pred ~pos ((si - lo) * k) len.(si - lo) in
+      let fill_dp sc ~defer si = L.fill t sc ~cartesian:true ~defer si ~pred ~pos ((si - lo) * k) len.(si - lo) in
+      let sc = Domain.DLS.get Lattice.scratch in
       let layer () =
         match pool with
         | Some pool when Pool.jobs pool > 1 ->
             Pool.parallel_for pool ~lo ~hi:(hi - 1) (fun si ->
-                Obs.add c_transitions (fill_dp ~defer:true si));
+                let sc = Domain.DLS.get Lattice.scratch in
+                Obs.add c_transitions (fill_dp sc ~defer:true si);
+                Lattice.flush sc);
             for si = lo to hi - 1 do
-              L.settle t ~cartesian:true si ~pred ~pos ((si - lo) * k) len.(si - lo)
+              L.settle t sc ~cartesian:true si ~pred ~pos ((si - lo) * k) len.(si - lo)
             done
         | _ ->
             let trans = ref 0 in
             for si = lo to hi - 1 do
-              trans := !trans + fill_dp ~defer:false si
+              trans := !trans + fill_dp sc ~defer:false si
             done;
-            Obs.add c_transitions !trans
+            Obs.add c_transitions !trans;
+            Lattice.flush sc
       in
       if Obs.enabled () then Obs.span ("ccp.dp.layer." ^ string_of_int k) layer else layer ()
     done;

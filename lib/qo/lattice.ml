@@ -62,7 +62,24 @@
       moment, and its [d], [h] go to a per-domain scratch array.
       A candidate with [d] or [h] above [U + slack] is cut before the
       table lookup, and one with [d] above it before [min_w]: the key
-      is at least [max d h] (see {!Logreal.add_log2_lower}).
+      is at least [max d h] (see {!Logreal.add_log2_lower}). On the
+      full lattice, so is one whose row minimum bounds [h] above it:
+      [h] is [N(S \ {j})]'s key plus the first key of the ascending
+      row [j], at least the row's smallest, and float addition rounds
+      monotonically, so the cut drops only candidates the [h] test
+      would drop (a NaN sum cuts nothing).
+    - {b Seed.} On the full lattice [U] starts at the [ub] of one
+      candidate, [j* = winner (S \ {v})] for [v] the lowest member of
+      [S], when [j*] is a vertex of [S] and a candidate of it: the
+      subset one member smaller tends to end with the same relation,
+      so [U] is near its final value from the first candidate on. The
+      scan still walks the members in ascending order; the candidate
+      that set [U] is the first whose [ub] equals the final [U], so
+      the seeded candidate takes that role when it is reached unless
+      an earlier candidate lowered [U] or matched it. It is always
+      admitted ([lb <= ub = U]), so the role is always filled. The
+      layer-parallel sweep reads [j*] from layer [k - 1], which
+      {!Make.settle} resolved before layer [k] started.
     - Pass 2 walks the window in scan order with the final [U].
       A member whose [lb > U + slack] is skipped; the others are summed
       exactly and kept under the first-strict-improvement rule, as are
@@ -72,12 +89,16 @@
 
     Why this is exact: a candidate outside the window has
     [key >= lb > U' + slack >= U + slack] for the [U'] current when it
-    was cut, and [U >= m] since the candidate that set [U] has key
-    [<= U]. So its key exceeds [m + slack] (the same float sums): it is
-    neither the first minimum nor in [R], and leaving it out changes
-    neither [best], nor whether [second <= best + slack], nor the
-    winner. Every stored key is the same [add_log2] of the same
-    operands, so the log domain stays bit-identical too.
+    was cut, and [U >= m] since [U] is the [ub] of a real candidate
+    (the seeded one or a scanned one), whose key is [<= U]. So its key
+    exceeds [m + slack] (the same float sums): it is neither the first
+    minimum nor in [R], and leaving it out changes neither [best], nor
+    whether [second <= best + slack], nor the winner. Every stored key
+    is the same [add_log2] of the same operands, so the log domain
+    stays bit-identical too. The seed only lowers each [U'], so the
+    window it leaves is a subset of the unseeded one that still holds
+    every member pass 2 sums; the final [U] is the smallest [ub] either
+    way, so are the candidate that set it and [opt.dp.exact_adds].
 
     Margins: with [hi = max d h], the bounds are [hi +. tlo] and
     [hi +. thi] for table entries [tlo <= g <= thi] around the computed
@@ -109,6 +130,7 @@ let c_transitions = Obs.counter "opt.dp.transitions"
 let c_exact_candidates = Obs.counter "opt.dp.exact_candidates"
 let c_near_ties = Obs.counter "opt.dp.near_ties"
 let c_exact_adds = Obs.counter "opt.dp.exact_adds"
+let c_window_members = Obs.counter "opt.dp.window_members"
 
 (** Most vertices a table may have: a subset has at most that many
     candidates, and [parent] holds a vertex in 16 bits. *)
@@ -117,12 +139,30 @@ let max_n = 256
 (* Scratch of a fill, per domain, at full size from the start: window
    member [k]'s summands [d], [h] at [sum.(2k)], [sum.(2k + 1)], its
    vertex and (sparse tables) predecessor slot at [who.(2k)], [who.(2k + 1)];
-   [u] at [sum.(2 * max_n)]; [w] members, [uk] the one that set [u]. *)
-type scratch = { sum : Float.Array.t; who : int array; mutable w : int; mutable uk : int }
+   [u] at [sum.(2 * max_n)]; [w] members, [uk] the one that set [u];
+   [adds] and [admitted] the fills' [opt.dp.exact_adds] and
+   [opt.dp.window_members] since the last {!flush}. *)
+type scratch = {
+  sum : Float.Array.t;
+  who : int array;
+  mutable w : int;
+  mutable uk : int;
+  mutable adds : int;
+  mutable admitted : int;
+}
 
 let scratch =
   Domain.DLS.new_key (fun () ->
-      { sum = Float.Array.make ((2 * max_n) + 1) 0.0; who = Array.make (2 * max_n) 0; w = 0; uk = -1 })
+      { sum = Float.Array.make ((2 * max_n) + 1) 0.0; who = Array.make (2 * max_n) 0; w = 0; uk = -1; adds = 0;
+        admitted = 0 })
+
+(** Add the counts of the fills on [sc] since the last flush to
+    [opt.dp.exact_adds] and [opt.dp.window_members]. *)
+let flush sc =
+  Obs.add c_exact_adds sc.adds;
+  Obs.add c_window_members sc.admitted;
+  sc.adds <- 0;
+  sc.admitted <- 0
 
 (* Work threshold for the layer-parallel path of {!Make.dense}. Below it
    the per-layer fan-out/join overhead exceeds the work it spreads —
@@ -388,7 +428,9 @@ module Make (C : Cost.S) = struct
   (* exact dp(rest) + N(rest) * min_w(j, rest), [rest] in slot [ri] *)
   and exact_cand t j ri = C.add (dp_exact t ri) (C.mul (n_exact t ri) (min_w_exact t j ri))
 
-  let[@inline] same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  (* bit-identical, for the window's members (never NaN): equal, and
+     on zeros of the same sign *)
+  let[@inline] same a b = a = b && (a <> 0.0 || 1.0 /. a = 1.0 /. b)
 
   (* window member [k] wins slot [si] *)
   let set_winner t sc si k =
@@ -420,38 +462,61 @@ module Make (C : Cost.S) = struct
     set_winner t sc si !win;
     Hashtbl.replace t.dp_memo si !win_val
 
+  (* [add_log2_upper] of the full lattice's candidate [j* = winner (s \ {v})],
+     [v] the lowest member of [s], when [j*] is a vertex and a candidate
+     of [s]; else [infinity] (see the header's {b Seed}) *)
+  let[@inline] seed t ~cartesian s =
+    let j = winner t (s lxor lowest_bit s) in
+    if j >= t.n || (s lsr j) land 1 = 0 then Float.infinity
+    else begin
+      let ri = s lxor (1 lsl j) in
+      let d = Float.Array.get t.dkey ri in
+      if d < Float.infinity && (cartesian || ri land t.adj.(j) <> 0) then begin
+        let h = Logreal.mul_log2 (Float.Array.get t.nkey ri) (Float.Array.unsafe_get t.wsorted (min_w_pos t j ri)) in
+        let ub = Logreal.add_log2_upper d h in
+        if ub < Float.infinity then ub else Float.infinity
+      end
+      else Float.infinity
+    end
+
   (* pass 1: bound the candidates into [sc] (see the header); returns
      the number scanned. On the full lattice ([len < 0]) a candidate is
      a member [j] of mask [s] with [dp(S \ {j})] finite and (unless
-     [cartesian]) a predicate joining [j] to [S \ {j}]; on a sparse
-     table the candidates are [pred.(i)] (predecessor slot) and
-     [pos.(i)] (min_w position) for [lo <= i < lo + len], in ascending
-     member order, those with a finite [dp]. [len < 0] is the call's
-     spelling of [not t.sparse]: inlined into each caller, the full
-     lattice's constant [-1] folds the branches away and keeps its
-     speed. *)
+     [cartesian]) a predicate joining [j] to [S \ {j}], and [U] starts
+     at the {!seed}; on a sparse table the candidates are [pred.(i)]
+     (predecessor slot) and [pos.(i)] (min_w position) for
+     [lo <= i < lo + len], in ascending member order, those with a
+     finite [dp]. [len < 0] is the call's spelling of [not t.sparse]:
+     inlined into each caller, the full lattice's constant [-1] folds
+     the branches away and keeps its speed. The candidate that set [U]
+     is the first whose [ub] equals the final [U]: a seeded [U] passes
+     to the first candidate that reaches it. *)
   let[@inline] scan t sc ~cartesian s ~pred ~pos lo len =
     let sum = sc.sum and who = sc.who in
-    let trans = ref 0 and u = ref Float.infinity and uk = ref (-1) and w = ref 0 in
+    let dkey = t.dkey and nkey = t.nkey and wsorted = t.wsorted and slack = t.slack and inf = Float.infinity in
+    let trans = ref 0 and u = ref (if len < 0 then seed t ~cartesian s else inf) and uk = ref (-1) and w = ref 0 in
     let rem = ref s and i = ref lo in
     while if len < 0 then !rem <> 0 else !i < lo + len do
       let b = lowest_bit !rem in
+      let j = if len < 0 then bit_index b else 0 in
       let ri = if len < 0 then s lxor b else Array.unsafe_get pred !i in
-      let d = if len >= 0 || cartesian || ri land t.adj.(bit_index b) <> 0 then Float.Array.get t.dkey ri else nan in
-      if d < Float.infinity then begin
+      let d = if len >= 0 || cartesian || ri land t.adj.(j) <> 0 then Float.Array.unsafe_get dkey ri else nan in
+      if d < inf then begin
         incr trans;
-        let cut = !u +. t.slack in
-        (* the lower bound is at least [max d h] *)
-        if d <= cut then begin
-          let p = if len < 0 then min_w_pos t (bit_index b) ri else Array.unsafe_get pos !i in
-          let h = Logreal.mul_log2 (Float.Array.get t.nkey ri) (Float.Array.unsafe_get t.wsorted p) in
+        let cut = !u +. slack in
+        let nk = Float.Array.unsafe_get nkey ri in
+        (* the lower bound is at least [max d h], and [h] at least the
+           row minimum's (not [>]: a NaN sum is never a cut) *)
+        if d <= cut && (len >= 0 || not (nk +. Float.Array.unsafe_get wsorted (j * t.n) > cut)) then begin
+          let p = if len < 0 then min_w_pos t j ri else Array.unsafe_get pos !i in
+          let h = Logreal.mul_log2 nk (Float.Array.unsafe_get wsorted p) in
           if h <= cut && Logreal.add_log2_lower d h <= cut then begin
             Float.Array.unsafe_set sum (2 * !w) d;
             Float.Array.unsafe_set sum ((2 * !w) + 1) h;
-            who.(2 * !w) <- (if len < 0 then bit_index b else p / t.n);
+            who.(2 * !w) <- (if len < 0 then j else p / t.n);
             if len >= 0 then who.((2 * !w) + 1) <- ri;
             let ub = Logreal.add_log2_upper d h in
-            if ub < !u then begin
+            if ub < !u || (!uk < 0 && ub = !u && ub < inf) then begin
               u := ub;
               uk := !w
             end;
@@ -497,7 +562,7 @@ module Make (C : Cost.S) = struct
         end
         else if key < !second then second := key
       done;
-      Obs.add c_exact_adds !adds
+      sc.adds <- sc.adds + !adds
     end;
     if !arg >= 0 && t.slack > 0.0 && !second <= !best +. t.slack then begin
       if defer then begin
@@ -511,22 +576,23 @@ module Make (C : Cost.S) = struct
       set_winner t sc si !arg
     end
 
-  (** Select the winner of slot [si] (at least two members) by key and
-      return the number of candidates scanned: on the full lattice
-      ([len < 0]) from the members of mask [si], on a sparse table from
-      [pred.(i)], [pos.(i)] for [lo <= i < lo + len] (see {!scan}). With
-      [defer] a subset that needs exact pricing is left for {!settle}. *)
-  let[@inline] fill t ~cartesian ~defer si ~pred ~pos lo len =
-    let sc = Domain.DLS.get scratch in
+  (** Select the winner of slot [si] (at least two members) by key, on
+      this domain's {!scratch} [sc], and return the number of candidates
+      scanned: on the full lattice ([len < 0]) from the members of mask
+      [si], on a sparse table from [pred.(i)], [pos.(i)] for
+      [lo <= i < lo + len] (see {!scan}). With [defer] a subset that
+      needs exact pricing is left for {!settle}. Its counts wait in [sc]
+      for {!flush}. *)
+  let[@inline] fill t sc ~cartesian ~defer si ~pred ~pos lo len =
     let trans = scan t sc ~cartesian si ~pred ~pos lo len in
+    sc.admitted <- sc.admitted + sc.w;
     decide t sc ~defer si;
     trans
 
   (** Resolve slot [si] if a deferred {!fill} left it pending.
       Sequential only. *)
-  let settle t ~cartesian si ~pred ~pos lo len =
+  let settle t sc ~cartesian si ~pred ~pos lo len =
     if winner t si = pending then begin
-      let sc = Domain.DLS.get scratch in
       ignore (scan t sc ~cartesian si ~pred ~pos lo len);
       resolve t sc si (Float.Array.get t.dkey si)
     end
@@ -578,13 +644,14 @@ module Make (C : Cost.S) = struct
   (** The full lattice over [n] vertices: every mask is its own slot.
       Pool-parallel by popcount layer (spans [opt.dp.layer.<k>]) when
       [pool] has more than one job and [n >= par_min_n]; otherwise
-      sequential in increasing mask order. [opt.dp.transitions] counts
-      every scanned candidate. *)
+      sequential in increasing mask order, one pass that keys each
+      mask's [N] and then fills it. [opt.dp.transitions] counts every
+      scanned candidate. *)
   let dense ?pool ~cartesian (inst : I.t) =
     let n = I.n inst in
     let full = (1 lsl n) - 1 in
     let t = lattice inst in
-    let fill_dp ~defer s = Obs.add c_transitions (fill t ~cartesian ~defer s ~pred:[||] ~pos:[||] 0 (-1)) in
+    let sc = Domain.DLS.get scratch in
     (match pool with
     | Some pool when Pool.jobs pool > 1 && n >= par_min_n ->
         let masks, off = by_cardinality ~n ~nw:1 (Array.init (full + 1) Fun.id) (full + 1) in
@@ -595,19 +662,22 @@ module Make (C : Cost.S) = struct
           (* dynamic name: only pay the concatenation when spans record *)
           let layer () =
             Pool.parallel_for pool ~lo:off.(k) ~hi:(off.(k + 1) - 1) (fun i ->
-                fill_dp ~defer:true masks.(i));
+                let sc = Domain.DLS.get scratch in
+                Obs.add c_transitions (fill t sc ~cartesian ~defer:true masks.(i) ~pred:[||] ~pos:[||] 0 (-1));
+                flush sc);
             for i = off.(k) to off.(k + 1) - 1 do
-              settle t ~cartesian masks.(i) ~pred:[||] ~pos:[||] 0 (-1)
+              settle t sc ~cartesian masks.(i) ~pred:[||] ~pos:[||] 0 (-1)
             done
           in
           if Obs.enabled () then Obs.span ("opt.dp.layer." ^ string_of_int k) layer else layer ()
         done
     | _ ->
+        let trans = ref 0 in
         for s = 1 to full do
-          fill_size t s
+          fill_size t s;
+          if s land (s - 1) <> 0 then trans := !trans + fill t sc ~cartesian ~defer:false s ~pred:[||] ~pos:[||] 0 (-1)
         done;
-        for s = 1 to full do
-          if s land (s - 1) <> 0 then fill_dp ~defer:false s
-        done);
+        Obs.add c_transitions !trans;
+        flush sc);
     plan t full
 end

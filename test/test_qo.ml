@@ -268,9 +268,11 @@ let test_explain_render () =
 
 (* -------------------- parallel DP ≡ sequential DP -------------------- *)
 
-(* The layer-parallel subset DP must be bit-identical to the sequential
-   path: same cost, same sequence, in both cost domains, including
-   instances large enough (n up to 14) for real multi-chunk layers. *)
+(* The subset DP with a pool must be bit-identical to the sequential
+   path: same cost, same sequence, in both cost domains. Below
+   [dp_parallel_min_n] (19) a pool runs the sequential loop, so the
+   properties (n up to 14) pin that dispatch; the cases at n = 19 take
+   the layer-parallel path with its multi-chunk layers and settle pass. *)
 
 let gen_big_instance =
   QCheck2.Gen.(
@@ -308,6 +310,24 @@ let prop_dp_parallel_equiv_log =
       with_test_pool (fun pool ->
           let s = OL.dp li and p = OL.dp ~pool li in
           Logreal.compare s.OL.cost p.OL.cost = 0 && s.OL.seq = p.OL.seq))
+
+let test_dp_parallel_at_threshold () =
+  let n = OR_.dp_parallel_min_n in
+  let li = Qo.Gen_inst.L.clique ~seed:1 ~n () and ri = Qo.Gen_inst.R.random ~seed:1 ~n ~p:0.5 () in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let log name (s : OL.plan) (p : OL.plan) =
+        Alcotest.(check int64) (name ^ " cost bits")
+          (Int64.bits_of_float (Logreal.to_log2 s.OL.cost))
+          (Int64.bits_of_float (Logreal.to_log2 p.OL.cost));
+        Alcotest.(check (array int)) (name ^ " sequence") s.OL.seq p.OL.seq
+      in
+      let rat name (s : OR_.plan) (p : OR_.plan) =
+        Alcotest.(check bool) (name ^ " cost") true (RC.equal s.OR_.cost p.OR_.cost);
+        Alcotest.(check (array int)) (name ^ " sequence") s.OR_.seq p.OR_.seq
+      in
+      log "log clique dp" (OL.dp li) (OL.dp ~pool li);
+      rat "rat random dp" (OR_.dp ri) (OR_.dp ~pool ri);
+      rat "rat random dp_no_cartesian" (OR_.dp_no_cartesian ri) (OR_.dp_no_cartesian ~pool ri))
 
 let prop_dp_nc_parallel_equiv_log =
   QCheck2.Test.make ~name:"parallel dp_no_cartesian ≡ sequential (log domain)" ~count:30
@@ -1189,20 +1209,25 @@ let prop_min_w_key_sorted =
 (* [fill]'s window on hand-set keys: the candidates of the full subset
    get summands whose keys crowd within a few table cells (larger
    operands 1/256 apart, gaps 1/64 apart), so their bounds overlap and
-   the exact pass decides. The winner, its key and the near-tie mark
-   must be those of a plain scan summing every candidate. *)
+   the exact pass decides. The bound is seeded from the winner of the
+   full set minus its lowest member, set to any member (every one a
+   candidate here), to the pending mark or to "none". The winner, its
+   key and the near-tie mark must be those of a plain scan summing every
+   candidate. *)
 let prop_window_vs_scan =
   QCheck2.Test.make ~name:"window fill ≡ plain exact scan on crowded keys" ~count:1000
     QCheck2.Gen.(
-      triple (int_range 2 8) (oneofl [ 0.0; 1e-3; 0.02 ])
-        (array_size (return 8) (triple (int_bound 6) (int_bound 96) bool)))
-    (fun (n, slack, picks) ->
+      quad (int_range 2 8) (oneofl [ 0.0; 1e-3; 0.02 ])
+        (array_size (return 8) (triple (int_bound 6) (int_bound 96) bool))
+        (int_bound 9))
+    (fun (n, slack, picks, seed) ->
       let inst =
         { NL.n; graph = Graphlib.Ugraph.create n; sel = Array.make_matrix n n Logreal.one;
           sizes = Array.make n Logreal.one; w = Array.make_matrix n n Logreal.one }
       in
       let t = { (LK.lattice inst) with LK.slack } in
       let full = (1 lsl n) - 1 in
+      LK.set_parent t (full lxor 1) (match seed with 8 -> LK.pending | 9 -> 0xffff | j -> j mod n);
       let summands j =
         let a, g, flip = picks.(j) in
         let hi = float_of_int a /. 256.0 in
@@ -1223,7 +1248,9 @@ let prop_window_vs_scan =
         end
         else if k < !second then second := k
       done;
-      ignore (LK.fill t ~cartesian:true ~defer:true full ~pred:[||] ~pos:[||] 0 (-1));
+      let sc = Domain.DLS.get Qo.Lattice.scratch in
+      ignore (LK.fill t sc ~cartesian:true ~defer:true full ~pred:[||] ~pos:[||] 0 (-1));
+      Qo.Lattice.flush sc;
       let tie = slack > 0.0 && !second <= !best +. slack in
       Int64.equal (Int64.bits_of_float (Float.Array.get t.LK.dkey full)) (Int64.bits_of_float !best)
       && LK.winner t full = if tie then LK.pending else !arg)
@@ -1249,15 +1276,30 @@ let test_filter_parallel_threshold () =
 (* every subset with a candidate sums at least once with libm (its
    winner's key), and the window keeps the rest to a few: on a log
    clique n = 12 the count lies between the 4083 subsets of two or more
-   members and half the 24 564 transitions *)
+   members and half the 24 564 transitions. The seeded bound admits at
+   most 1.5 window members per such subset (5091; 10 915 unseeded). *)
 let test_exact_adds_counted () =
   let count name = Option.value ~default:0 (List.assoc_opt name (Obs.snapshot ())) in
   let adds0 = count "opt.dp.exact_adds" and trans0 = count "opt.dp.transitions" in
+  let members0 = count "opt.dp.window_members" in
   ignore (OL.dp (Qo.Gen_inst.L.clique ~seed:1 ~n:12 ()));
   let adds = count "opt.dp.exact_adds" - adds0 and trans = count "opt.dp.transitions" - trans0 in
+  let members = count "opt.dp.window_members" - members0 in
   Alcotest.(check int) "transitions" ((12 * 2048) - 12) trans;
   Alcotest.(check bool) (Printf.sprintf "%d adds >= 4083 subsets" adds) true (adds >= 4083);
-  Alcotest.(check bool) (Printf.sprintf "%d adds < %d / 2" adds trans) true (2 * adds < trans)
+  Alcotest.(check bool) (Printf.sprintf "%d adds < %d / 2" adds trans) true (2 * adds < trans);
+  Alcotest.(check bool) (Printf.sprintf "%d window members in [4083, 6124]" members) true (members >= 4083 && members <= 6124)
+
+(* the filtered kernels against the all-exact reference at the sizes
+   the benchmark solves: a log clique n = 16 and the planted-clique
+   f_N n = 15, whose equal sizes make exact ties everywhere *)
+let test_filter_bench_instances () =
+  let fn =
+    let graph = Graphlib.Gen.planted_clique ~seed:1 ~n:15 ~k:10 ~p:0.9 in
+    (Reductions.Fn.reduce ~graph ~c:(10. /. 15.) ~d:0.2 ~log2_a:8.0).Reductions.Fn.instance
+  in
+  Alcotest.(check bool) "log clique n=16" true (log_agrees (Qo.Gen_inst.L.clique ~seed:1 ~n:16 ()));
+  Alcotest.(check bool) "f_N n=15" true (log_agrees fn)
 
 (* ------------- one-pass parser ≡ reference parser ------------- *)
 
@@ -1679,7 +1721,8 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_ik_tree_optimal; prop_ik_tree_optimal_log ] );
       ( "parallel dp",
-        List.map QCheck_alcotest.to_alcotest
+        [ Alcotest.test_case "jobs 2 ≡ sequential at n = 19 (layer-parallel)" `Slow test_dp_parallel_at_threshold ]
+        @ List.map QCheck_alcotest.to_alcotest
           [
             prop_dp_parallel_equiv_rat;
             prop_dp_parallel_equiv_rat_big;
@@ -1731,6 +1774,8 @@ let () =
           Alcotest.test_case "rat dp_no_cartesian at the parallel threshold" `Quick
             test_filter_parallel_threshold;
           Alcotest.test_case "exact_adds counts the window's libm sums" `Quick test_exact_adds_counted;
+          Alcotest.test_case "filtered ≡ all-exact on the benchmark's clique and f_N" `Quick
+            test_filter_bench_instances;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [
