@@ -62,4 +62,4 @@ let () =
   print_endline
     "\nSection 6.3: these tree queries sit exactly at the boundary - with only\n\
      m + Theta(m^tau) edges (any tau > 0) the sparse reductions of Section 6\n\
-     already make polylog-approximation NP-hard (see E5/E6 in the bench)."
+     already make polylog-approximation NP-hard (see experiments E5/E6)."

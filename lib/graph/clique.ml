@@ -28,37 +28,12 @@ let colour_order g ~cap p =
   done;
   !order
 
-(* Branch-and-bound core shared by the sequential and parallel solvers.
-   [current] has [depth] vertices; [get_best]/[record]/[stop] abstract
-   the incumbent so the parallel solver can share it across domains
-   (stale reads of the incumbent only weaken pruning, never
-   exactness). Leaves (empty candidate set) are recorded. *)
 let c_nodes = Obs.counter "clique.nodes"
 let c_prunes = Obs.counter "clique.colour_prunes"
 
-let rec expand g ~get_best ~record ~stop current depth p =
-  if not (stop ()) then begin
-    Obs.incr c_nodes;
-    let coloured = colour_order g ~cap:(get_best () - depth) p in
-    (* candidates whose greedy colour was at or below the cap never made
-       it into [coloured]: each is one colour-bound prune *)
-    Obs.add c_prunes (Bitset.cardinal p - List.length coloured);
-    (* coloured is in decreasing colour order *)
-    let p = Bitset.copy p in
-    List.iter
-      (fun (v, c) ->
-        if (not (stop ())) && depth + c > get_best () then begin
-          if Bitset.mem p v then begin
-            let current' = v :: current in
-            let p' = Bitset.inter p (Ugraph.neighbors g v) in
-            if Bitset.is_empty p' then record current'
-            else expand g ~get_best ~record ~stop current' (depth + 1) p';
-            Bitset.remove p v
-          end
-        end)
-      coloured
-  end
-
+(* Branch and bound: [current] has [depth] vertices, leaves (empty
+   candidate set) are recorded, and the search stops once a clique of
+   the [target] size is found. *)
 let max_clique_bounded g target =
   let n = Ugraph.vertex_count g in
   let best = ref [] in
@@ -72,46 +47,34 @@ let max_clique_bounded g target =
       match target with Some t when l >= t -> stop := true | _ -> ()
     end
   in
-  expand g
-    ~get_best:(fun () -> !best_size)
-    ~record
-    ~stop:(fun () -> !stop)
-    [] 0 (Bitset.full n);
+  let rec expand current depth p =
+    if not !stop then begin
+      Obs.incr c_nodes;
+      let coloured = colour_order g ~cap:(!best_size - depth) p in
+      (* candidates whose greedy colour was at or below the cap never made
+         it into [coloured]: each is one colour-bound prune *)
+      Obs.add c_prunes (Bitset.cardinal p - List.length coloured);
+      (* coloured is in decreasing colour order *)
+      let p = Bitset.copy p in
+      List.iter
+        (fun (v, c) ->
+          if (not !stop) && depth + c > !best_size then begin
+            if Bitset.mem p v then begin
+              let current' = v :: current in
+              let p' = Bitset.inter p (Ugraph.neighbors g v) in
+              if Bitset.is_empty p' then record current'
+              else expand current' (depth + 1) p';
+              Bitset.remove p v
+            end
+          end)
+        coloured
+    end
+  in
+  expand [] 0 (Bitset.full n);
   !best
 
 let max_clique g = List.sort Stdlib.compare (max_clique_bounded g None)
 
-(* Parallel exact max clique: one root subproblem per vertex [v]
-   (cliques whose smallest vertex is [v]), dynamically scheduled on the
-   pool; the incumbent size is shared through an [Atomic] so every
-   subproblem prunes against the global best. The returned clique's
-   size is exact; which maximum clique is returned may vary from run to
-   run (whichever domain records it first wins ties). *)
-let max_clique_par ?pool g =
-  let n = Ugraph.vertex_count g in
-  match pool with
-  | None -> max_clique g
-  | Some pool when Pool.jobs pool <= 1 || n = 0 -> max_clique g
-  | Some pool ->
-      let m = Mutex.create () in
-      let best = ref [] in
-      let best_size = Atomic.make 0 in
-      let record c =
-        let l = List.length c in
-        Mutex.lock m;
-        if l > Atomic.get best_size then begin
-          best := c;
-          Atomic.set best_size l
-        end;
-        Mutex.unlock m
-      in
-      let get_best () = Atomic.get best_size in
-      Pool.parallel_for pool ~chunks:n ~lo:0 ~hi:(n - 1) (fun v ->
-          let p = Bitset.create n in
-          Bitset.iter (fun u -> if u > v then Bitset.add p u) (Ugraph.neighbors g v);
-          if Bitset.is_empty p then record [ v ]
-          else expand g ~get_best ~record ~stop:(fun () -> false) [ v ] 1 p);
-      List.sort Stdlib.compare !best
 let clique_number g = List.length (max_clique_bounded g None)
 let has_clique g k = k <= 0 || List.length (max_clique_bounded g (Some k)) >= k
 

@@ -11,13 +11,6 @@
 val max_clique : Ugraph.t -> int list
 (** An exact maximum clique (vertex list). Exponential worst case. *)
 
-val max_clique_par : ?pool:Pool.t -> Ugraph.t -> int list
-(** Exact maximum clique with the root of the search tree split across
-    the pool's domains (one subproblem per smallest clique vertex,
-    sharing the incumbent bound). The size is always exact; {e which}
-    maximum clique is returned can differ between runs. Falls back to
-    {!max_clique} without a pool (or with one job). *)
-
 val clique_number : Ugraph.t -> int
 (** [omega(G)]. *)
 

@@ -48,8 +48,9 @@ val e8_appendix : ?quiet:bool -> unit -> check list
 
 val e9_competitive : ?quiet:bool -> ?jobs:int -> unit -> check list
 (** Section 1/6.3 consequence: competitive ratios of the
-    polynomial-time optimizer portfolio against the exact optimum on
-    the hard family, and IK = exact on tree queries. *)
+    polynomial-time optimizer portfolio (every heuristic entry of
+    [Solver.all], then min-size greedy, II and GA) against the exact
+    optimum on the hard family, and IK = exact on tree queries. *)
 
 val e10_crossval : ?quiet:bool -> unit -> check list
 (** Cost-model cross-validation: log-domain vs exact rationals, and

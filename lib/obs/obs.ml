@@ -826,7 +826,7 @@ let stats_json () =
     ]
 
 (** Schema-versioned report envelope shared by the JSON report writers
-    (experiment, bench, serve): [kind]-tagged, caller fields in
+    (serve, fuzz, trace): [kind]-tagged, caller fields in
     [extra], the counter snapshot and span forest appended last. *)
 let run_report ~kind ?(extra = []) () =
   Json.Obj

@@ -203,8 +203,8 @@ val diff : snapshot -> snapshot -> snapshot
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f] and returns its result with the elapsed
-    wall-clock seconds. Always on — this is the primitive the bench and
-    harness timing blocks are built from. *)
+    wall-clock seconds. Always on — this is the primitive the harness
+    timing blocks are built from. *)
 
 type span_node = {
   name : string;

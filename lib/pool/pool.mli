@@ -16,9 +16,6 @@
 
 type t
 
-val env_jobs : unit -> int option
-(** [QOPT_JOBS] from the environment, if set to a positive integer. *)
-
 val recommended_jobs : unit -> int
 (** [QOPT_JOBS] if set, otherwise [Domain.recommended_domain_count ()]. *)
 

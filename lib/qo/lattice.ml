@@ -166,9 +166,8 @@ let flush sc =
 
 (* Work threshold for the layer-parallel path of {!Make.dense}. Below it
    the per-layer fan-out/join overhead exceeds the work it spreads —
-   measured 0.60x sequential at n=16 and 0.96x at n=18 (parallel_dp
-   rows in BENCH_qopt.json) — so small instances run the sequential
-   loop even when a pool is supplied. Results are bit-identical either
+   measured 0.60x sequential at n=16 and 0.96x at n=18 — so small
+   instances run the sequential loop even when a pool is supplied. Results are bit-identical either
    way; only wall-clock changes. *)
 let par_min_n = 19
 

@@ -1231,7 +1231,7 @@ let answer_control p ~accepted ctl =
 
 (* Strip control blocks out of a transcript: returns the non-control
    bytes (which must be identical to a control-free run) and each
-   control block's (header, body) — the test/bench helper for the
+   control block's (header, body) — the test helper for the
    "controls do not perturb traffic" invariant. *)
 let split_control out =
   let lines = String.split_on_char '\n' out in

@@ -302,7 +302,7 @@ val split_control : string -> string * (string * string) list
 (** Split a response transcript into its non-control bytes and the
     control blocks, each as [(header_line, body)]. The non-control
     part of a run with control requests must be byte-identical to the
-    same workload without them — the invariant the bench and the
+    same workload without them — the invariant the serve tests and the
     [served-control] fuzz oracle check with this helper. *)
 
 val hit_rate : stats -> float

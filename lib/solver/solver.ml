@@ -1,10 +1,10 @@
 (* First-class solver registry. See solver.mli for the contract.
 
    Every algorithm the repo exposes — CLI --algo values, serve
-   algo= tokens, fuzz differential oracles, bench competitive-ratio
-   rows — is one [entry] in [all] below. The five former dispatch
+   algo= tokens, fuzz differential oracles, E9 competitive-ratio
+   columns — is one [entry] in [all] below. The five former dispatch
    sites (bin/qopt.ml optimize/explain, lib/serve parse + admission +
-   engines, lib/fuzz registry oracles, bench) consume the registry, so
+   engines, lib/fuzz registry oracles, lib/harness E9) consume the registry, so
    adding a solver is: write the module, append an entry here. The
    drift bugs this kills were real: the CLI used to call the lattice
    DP "lattice" while serve called it "dp", and serve's unknown-algo

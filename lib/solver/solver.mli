@@ -9,8 +9,8 @@
     - the fuzz differential-oracle generator (exact entrants are
       cross-checked bit-identically against [Opt.dp] up to [diff_cap],
       heuristic entrants get an optimality lower-bound oracle);
-    - the bench competitive-ratio table (heuristic entrants priced
-      against the exact optimum on the hard [f_N] family).
+    - experiment E9's competitive-ratio table (heuristic entrants
+      priced against the exact optimum on the hard [f_N] family).
 
     Adding a solver is: write its module, append an entry to {!all} in
     solver.ml. Everything above picks it up with no further edits. *)

@@ -4,8 +4,8 @@
    of Random.State draws per emitted request whatever the skew — the
    Zipf sampler always draws (column, coin) — so two traces differing
    only in [skew] choose the same request classes, burst lengths and
-   algos at every step, isolating the skew effect the bench's
-   hit-rate-vs-skew table measures. Nothing here touches Pool or
+   algos at every step, isolating the skew effect the hit-rate-vs-skew
+   test measures. Nothing here touches Pool or
    global mutable state, so trace bytes are invariant under --jobs. *)
 
 (* ---------------- Zipfian alias sampler ---------------- *)

@@ -323,31 +323,17 @@ let prop_greedy_clique_valid =
 (* Regression for the colour-cap pruning in colour_order: the bounded
    solver must stay exact on certified with_clique_number families
    (where the cap actually bites — the incumbent grows to omega), both
-   with and without a target, and the parallel root-split solver must
-   find the same clique number. *)
+   with and without a target. *)
 let test_bounded_clique_families () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      List.iter
-        (fun (n, omega) ->
-          let g = Gen.with_clique_number ~n ~omega in
-          let lbl s = Printf.sprintf "n=%d omega=%d: %s" n omega s in
-          Alcotest.(check int) (lbl "max_clique size") omega (List.length (Clique.max_clique g));
-          Alcotest.(check int) (lbl "clique_number") omega (Clique.clique_number g);
-          Alcotest.(check bool) (lbl "has_clique omega") true (Clique.has_clique g omega);
-          Alcotest.(check bool) (lbl "no omega+1 clique") false (Clique.has_clique g (omega + 1));
-          let c = Clique.max_clique_par ~pool g in
-          Alcotest.(check int) (lbl "parallel size") omega (List.length c);
-          Alcotest.(check bool) (lbl "parallel is a clique") true (Ugraph.is_clique g c))
-        [ (6, 2); (9, 3); (12, 8); (15, 10); (18, 12); (20, 5); (21, 21) ])
-
-let prop_clique_par_exact =
-  QCheck2.Test.make ~name:"max_clique_par matches brute force" ~count:40
-    QCheck2.Gen.(pair (int_range 2 9) (int_range 0 100))
-    (fun (n, seed) ->
-      let g = Gen.gnp ~seed ~n ~p:0.5 in
-      Pool.with_pool ~jobs:3 (fun pool ->
-          let c = Clique.max_clique_par ~pool g in
-          List.length c = brute_clique g && Ugraph.is_clique g c))
+  List.iter
+    (fun (n, omega) ->
+      let g = Gen.with_clique_number ~n ~omega in
+      let lbl s = Printf.sprintf "n=%d omega=%d: %s" n omega s in
+      Alcotest.(check int) (lbl "max_clique size") omega (List.length (Clique.max_clique g));
+      Alcotest.(check int) (lbl "clique_number") omega (Clique.clique_number g);
+      Alcotest.(check bool) (lbl "has_clique omega") true (Clique.has_clique g omega);
+      Alcotest.(check bool) (lbl "no omega+1 clique") false (Clique.has_clique g (omega + 1)))
+    [ (6, 2); (9, 3); (12, 8); (15, 10); (18, 12); (20, 5); (21, 21) ]
 
 let test_has_clique () =
   let g = Gen.planted_clique ~seed:5 ~n:25 ~k:7 ~p:0.2 in
@@ -545,7 +531,7 @@ let () =
         [
           Alcotest.test_case "has_clique" `Quick test_has_clique;
           Alcotest.test_case "maximal cliques" `Quick test_maximal_cliques;
-          Alcotest.test_case "bounded/parallel on certified families" `Quick
+          Alcotest.test_case "bounded on certified families" `Quick
             test_bounded_clique_families;
         ]
         @ List.map QCheck_alcotest.to_alcotest
@@ -554,7 +540,6 @@ let () =
               prop_clique_is_clique;
               prop_greedy_clique_valid;
               prop_bron_kerbosch_count;
-              prop_clique_par_exact;
             ] );
       ( "vertex_cover",
         List.map QCheck_alcotest.to_alcotest

@@ -470,13 +470,34 @@ let prop_conv_parallel_equiv =
 
 (* The multi-word subset index must spread a chain's intervals: with a
    hash that keeps the low bits of the top word, 1275 of chain n=62's
-   1953 subsets share one bucket. *)
+   1953 subsets share one bucket. Past one word, conv's sparse regime
+   builds the same index on longer chains and on a spider of three
+   21-vertex legs joined at a hub (n = 64); every solve must also return
+   a full-length sequence, the invariant a broken enumeration breaks
+   first. *)
 let test_ccp_words_buckets () =
-  let inst = Qo.Gen_inst.L.chain ~seed:3 ~n:62 () in
-  ignore (CCPL.dp_connected_words inst);
-  match List.assoc_opt "ccp.dp.idx_max_bucket" (Obs.snapshot ()) with
-  | None -> Alcotest.fail "ccp.dp.idx_max_bucket not set"
-  | Some b -> if b > 8 then Alcotest.failf "max bucket %d > 8" b
+  let spider_3x21 =
+    Graphlib.Ugraph.of_edges 64
+      (List.concat_map
+         (fun l ->
+           let b = 1 + (21 * l) in
+           (0, b) :: List.init 20 (fun i -> (b + i, b + i + 1)))
+         [ 0; 1; 2 ])
+  in
+  let over graph = Qo.Gen_inst.L.over_graph ~seed:11 ~graph () in
+  List.iter
+    (fun (lbl, solve, inst) ->
+      let (p : OL.plan) = solve inst in
+      Alcotest.(check int) (lbl ^ ": full-length sequence") (NL.n inst) (Array.length p.OL.seq);
+      match List.assoc_opt "ccp.dp.idx_max_bucket" (Obs.snapshot ()) with
+      | None -> Alcotest.failf "%s: ccp.dp.idx_max_bucket not set" lbl
+      | Some b -> if b > 8 then Alcotest.failf "%s: max bucket %d > 8" lbl b)
+    [
+      ("chain n=62", (fun i -> CCPL.dp_connected_words i), Qo.Gen_inst.L.chain ~seed:3 ~n:62 ());
+      ("conv chain n=128", (fun i -> CVL.solve i), over (Graphlib.Gen.path 128));
+      ("conv spider-3x21", (fun i -> CVL.solve i), over spider_3x21);
+      ("conv chain n=192", (fun i -> CVL.solve i), over (Graphlib.Gen.path 192));
+    ]
 
 (* Instances straddling the old single-word cap (n = 61) and the
    current one: one word holds n <= 63, its top bit the int's sign bit at
@@ -558,6 +579,22 @@ let test_chain_reference () =
   let inst = NR.make ~graph:inst.NR.graph ~sel:inst.NR.sel ~sizes ~w in
   Alcotest.(check int) "vertex 255 joins last" 255 (CCPR.dp_connected inst).OR_.seq.(255);
   check_chain "chain n=256, 255 last" inst
+
+(* dense graphs, where nearly every subset is connected: ccp's hashed
+   connected-subset table against conv's lattice sweep, bit for bit *)
+let test_ccp_conv_dense () =
+  List.iter
+    (fun (lbl, graph) ->
+      let inst = Qo.Gen_inst.L.over_graph ~seed:11 ~graph () in
+      let a = CCPL.dp_connected inst and c = CVL.solve inst in
+      Alcotest.(check int64) (lbl ^ ": cost bits") (bits c.OL.cost) (bits a.OL.cost);
+      Alcotest.(check (array int)) (lbl ^ ": seq") c.OL.seq a.OL.seq)
+    [
+      ("clique n=14", Graphlib.Ugraph.complete 14);
+      ("clique n=16", Graphlib.Ugraph.complete 16);
+      ("clique n=18", Graphlib.Ugraph.complete 18);
+      ("gnp n=16 p=0.8", Graphlib.Gen.gnp ~seed:7 ~n:16 ~p:0.8);
+    ]
 
 (* tables filled layer-parallel at jobs 2, in both domains, on chains
    and on a three-legged spider (a tree whose connected subsets stay
@@ -1739,7 +1776,8 @@ let () =
           Alcotest.test_case "disconnected graph is infeasible" `Quick test_ccp_infeasible;
           Alcotest.test_case "csg counts on known families" `Quick test_csg_count;
           Alcotest.test_case "csg_count_bounded contract" `Quick test_csg_count_bounded;
-          Alcotest.test_case "multi-word index spreads chain n=62" `Quick test_ccp_words_buckets;
+          Alcotest.test_case "multi-word index spreads chains and a spider" `Quick
+            test_ccp_words_buckets;
           Alcotest.test_case "chains ≡ independent interval DP to n=256" `Quick test_chain_reference;
           Alcotest.test_case "multi-word parallel ≡ sequential at jobs 2" `Quick
             test_ccp_parallel_multiword;
@@ -1760,6 +1798,7 @@ let () =
         [
           Alcotest.test_case "plans straddling the old n=61 cap" `Quick test_cap_straddle;
           Alcotest.test_case "chain n=128 past the lifted ceiling" `Slow test_chain_128;
+          Alcotest.test_case "ccp ≡ conv on cliques and dense G(n,p)" `Quick test_ccp_conv_dense;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [
