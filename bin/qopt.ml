@@ -144,33 +144,23 @@ let experiment_cmd =
        experiments with a parallel DP inner loop (the others are
        sequential by nature) — "qopt experiment e9 --jobs 8" must not
        silently run on one domain *)
-    let single name f =
+    let single (name, f) =
       let before = Obs.snapshot () in
-      let checks, seconds = Obs.span ("experiment." ^ name) (fun () -> Obs.time f) in
+      let checks, seconds =
+        Obs.span ("experiment." ^ name) (fun () -> Obs.time (fun () -> f ~quiet:false ~jobs))
+      in
       [ { name; checks; output = ""; seconds; counters = Obs.diff before (Obs.snapshot ()) } ]
     in
-    let pick = function
-      | "e1" -> single "E1" (fun () -> e1_qon_gap ~jobs ())
-      | "e2" -> single "E2" (fun () -> e2_profile ())
-      | "e3" -> single "E3" (fun () -> e3_qoh_gap ())
-      | "e4" -> single "E4" (fun () -> e4_memory ())
-      | "e5" -> single "E5" (fun () -> e5_sparse_qon ~jobs ())
-      | "e6" -> single "E6" (fun () -> e6_sparse_qoh ())
-      | "e7" -> single "E7" (fun () -> e7_chain ())
-      | "e8" -> single "E8" (fun () -> e8_appendix ())
-      | "e9" -> single "E9" (fun () -> e9_competitive ~jobs ())
-      | "e10" -> single "E10" (fun () -> e10_crossval ())
-      | "e11" -> single "E11" (fun () -> e11_alpha_sweep ~jobs ())
-      | "e12" -> single "E12" (fun () -> e12_memory_sweep ())
-      | "e13" -> single "E13" (fun () -> e13_nu_sweep ())
-      | "e14" -> single "E14" (fun () -> e14_tree_frontier ~jobs ())
-      | "e15" -> single "E15" (fun () -> e15_printed_vs_reconstructed ())
+    let runs =
+      match String.lowercase_ascii id with
       | "all" -> run_all ~jobs ()
-      | other ->
-          Printf.eprintf "unknown experiment %S\n" other;
-          exit 2
+      | id -> (
+          match Array.find_opt (fun (name, _) -> String.lowercase_ascii name = id) registry with
+          | Some entry -> single entry
+          | None ->
+              Printf.eprintf "unknown experiment %S\n" id;
+              exit 2)
     in
-    let runs = pick (String.lowercase_ascii id) in
     let results = List.map (fun r -> (r.name, r.checks)) runs in
     let total = List.fold_left (fun acc (_, cs) -> acc + List.length cs) 0 results in
     let fails = failures results in
@@ -225,6 +215,25 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc:"Decide a DIMACS CNF with the built-in DPLL solver")
     Term.(const run $ file $ stats_term $ trace_term)
 
+(* ---------------- shapes by name ---------------- *)
+
+let shape_doc =
+  String.concat ", " (List.map (fun (name, _) -> "$(b," ^ name ^ ")") Qo.Gen_inst.shapes)
+
+(* --shape for gen and explain *)
+let shape_term =
+  Arg.(value & opt (enum Qo.Gen_inst.shapes) Qo.Gen_inst.Random
+       & info [ "shape" ] ~docv:"SHAPE" ~doc:("Query graph shape, one of " ^ shape_doc ^ "."))
+
+(* A shape is defined from [Gen_inst.min_n] relations up; below that,
+   fail before building anything. *)
+let check_shape_n shape n =
+  let m = Qo.Gen_inst.min_n shape in
+  if n < m then begin
+    Printf.eprintf "qopt: --shape %s needs -n >= %d (got %d)\n" (Qo.Gen_inst.shape_name shape) m n;
+    exit 2
+  end
+
 (* ---------------- optimize ---------------- *)
 
 let optimize_cmd =
@@ -233,24 +242,13 @@ let optimize_cmd =
   let log2a = Arg.(value & opt float 8.0 & info [ "log2a" ] ~doc:"log2 of the parameter a.") in
   let shape =
     let family =
-      Arg.enum
-        [
-          ("cocluster", `Cocluster);
-          ("random", `Random);
-          ("tree", `Tree);
-          ("chain", `Chain);
-          ("star", `Star);
-          ("cycle", `Cycle);
-          ("grid", `Grid);
-          ("clique", `Clique);
-        ]
+      Arg.enum (("cocluster", None) :: List.map (fun (name, s) -> (name, Some s)) Qo.Gen_inst.shapes)
     in
     let doc =
       "Instance family: $(b,cocluster) (the hard f_N co-cluster instance; the default) or a \
-       random log-domain instance over a $(b,random), $(b,tree), $(b,chain), $(b,star), \
-       $(b,cycle), $(b,grid) or $(b,clique) query graph."
+       random log-domain instance over a query graph of one of the shapes " ^ shape_doc ^ "."
     in
-    Arg.(value & opt family `Cocluster & info [ "shape" ] ~docv:"SHAPE" ~doc)
+    Arg.(value & opt family None & info [ "shape" ] ~docv:"SHAPE" ~doc)
   in
   let seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed (non-cocluster shapes).")
@@ -291,7 +289,7 @@ let optimize_cmd =
     | None ->
     let inst =
       match shape with
-      | `Cocluster ->
+      | None ->
           if omega < 1 || omega > n then begin
             Printf.eprintf "omega must be in [1, n]\n";
             exit 2
@@ -303,18 +301,15 @@ let optimize_cmd =
             (Logreal.to_log2 r.Reductions.Fn.t_size)
             (Logreal.to_log2 r.Reductions.Fn.k_cd);
           r.Reductions.Fn.instance
-      | (`Random | `Tree | `Chain | `Star | `Cycle | `Grid | `Clique) as s ->
-          let name, inst =
+      | Some s ->
+          check_shape_n s n;
+          let inst = Qo.Gen_inst.L.of_shape ~seed ~n s in
+          let name =
             match s with
-            | `Random -> ("random", Qo.Gen_inst.L.random ~seed ~n ~p:0.5 ())
-            | `Tree -> ("tree", Qo.Gen_inst.L.tree ~seed ~n ())
-            | `Chain -> ("chain", Qo.Gen_inst.L.chain ~seed ~n ())
-            | `Star -> ("star", Qo.Gen_inst.L.star ~seed ~satellites:(n - 1) ())
-            | `Cycle -> ("cycle", Qo.Gen_inst.L.cycle ~seed ~n ())
-            | `Grid ->
+            | Qo.Gen_inst.Grid ->
                 let rows, cols = Qo.Gen_inst.grid_dims n in
-                (Printf.sprintf "grid %dx%d" rows cols, Qo.Gen_inst.L.grid ~seed ~rows ~cols ())
-            | `Clique -> ("clique", Qo.Gen_inst.L.clique ~seed ~n ())
+                Printf.sprintf "grid %dx%d" rows cols
+            | s -> Qo.Gen_inst.shape_name s
           in
           Printf.printf "%s instance: n=%d edges=%d\n" name n
             (Graphlib.Ugraph.edge_count inst.Qo.Instances.Nl_log.graph);
@@ -331,6 +326,46 @@ let optimize_cmd =
 
 (* ---------------- serve ---------------- *)
 
+(* --cache-size / --queue-size / --batch-size, shared by serve and
+   replay, defaulting to Serve.default_config. *)
+let serve_config_term =
+  let d = Serve.default_config in
+  let cache_size =
+    Arg.(
+      value
+      & opt int d.Serve.cache_capacity
+      & info [ "cache-size" ] ~docv:"N"
+          ~doc:"Plan-cache capacity in entries before LRU eviction; 0 disables caching.")
+  in
+  let queue_size =
+    Arg.(
+      value
+      & opt int d.Serve.queue_capacity
+      & info [ "queue-size" ] ~docv:"N"
+          ~doc:
+            "Bounded request-queue depth (in batches) under --jobs > 1; a full queue \
+             blocks the reader, which is the admission backpressure.")
+  in
+  let batch_size =
+    Arg.(
+      value
+      & opt int d.Serve.batch_size
+      & info [ "batch-size" ] ~docv:"N"
+          ~doc:
+            "Requests handed to a worker at a time. The default (1) keeps strict \
+             request/response interleaving for interactive clients; bulk streams can \
+             raise it to amortise hand-off costs. Response bytes are unaffected.")
+  in
+  let config cache_size queue_size batch_size =
+    {
+      d with
+      Serve.cache_capacity = cache_size;
+      queue_capacity = max 1 queue_size;
+      batch_size = max 1 batch_size;
+    }
+  in
+  Term.(const config $ cache_size $ queue_size $ batch_size)
+
 let serve_cmd =
   let socket =
     Arg.(
@@ -341,38 +376,12 @@ let serve_cmd =
             "Listen on a Unix-domain socket at $(docv) (connections served sequentially, \
              one shared plan cache) instead of serving stdin/stdout.")
   in
-  let cache_size =
-    Arg.(
-      value
-      & opt int 256
-      & info [ "cache-size" ] ~docv:"N"
-          ~doc:"Plan-cache capacity in entries before LRU eviction; 0 disables caching.")
-  in
   let report_term =
     let doc =
       "Write a schema-versioned JSON serving report (request totals, cache-hit rate, \
        latency percentiles, counters, spans) to $(docv) on shutdown."
     in
     Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
-  in
-  let queue_size =
-    Arg.(
-      value
-      & opt int Serve.default_config.Serve.queue_capacity
-      & info [ "queue-size" ] ~docv:"N"
-          ~doc:
-            "Bounded request-queue depth (in batches) under --jobs > 1; a full queue \
-             blocks the reader, which is the admission backpressure.")
-  in
-  let batch_size =
-    Arg.(
-      value
-      & opt int Serve.default_config.Serve.batch_size
-      & info [ "batch-size" ] ~docv:"N"
-          ~doc:
-            "Requests handed to a worker at a time. The default (1) keeps strict \
-             request/response interleaving for interactive clients; bulk streams can \
-             raise it to amortise hand-off costs. Response bytes are unaffected.")
   in
   let metrics_file =
     Arg.(
@@ -392,18 +401,9 @@ let serve_cmd =
       & info [ "metrics-interval" ] ~docv:"S"
           ~doc:"Seconds between heartbeat snapshots (with --metrics-file; default 1.0).")
   in
-  let run socket cache_size queue_size batch_size jobs stats trace report metrics_file
-      metrics_interval =
+  let run socket config jobs stats trace report metrics_file metrics_interval =
     let jobs = resolve_jobs jobs in
     setup_obs stats trace;
-    let config =
-      {
-        Serve.default_config with
-        Serve.cache_capacity = cache_size;
-        queue_capacity = max 1 queue_size;
-        batch_size = max 1 batch_size;
-      }
-    in
     (* graceful shutdown: stop reading, drain every accepted request
        through the workers, then fall out of the loop with
        interrupted=true and still write the report *)
@@ -480,8 +480,8 @@ let serve_cmd =
           behind a bounded queue; responses stay byte-identical to --jobs 1. In-band \
           #stats/#health/#hist control requests and --metrics-file heartbeats expose \
           live latency histograms.")
-    Term.(const run $ socket $ cache_size $ queue_size $ batch_size $ jobs_term
-          $ stats_term $ trace_term $ report_term $ metrics_file $ metrics_interval)
+    Term.(const run $ socket $ serve_config_term $ jobs_term $ stats_term $ trace_term
+          $ report_term $ metrics_file $ metrics_interval)
 
 (* ---------------- fuzz ---------------- *)
 
@@ -623,38 +623,11 @@ let fuzz_cmd =
     Term.(const run $ files $ runs $ seed $ corpus $ out $ jobs_term $ stats_term
           $ trace_term $ report_term $ oracle_term)
 
-(* ---------------- shared instance building ---------------- *)
-
-let shape_conv =
-  Arg.enum
-    [
-      ("random", `Random);
-      ("tree", `Tree);
-      ("chain", `Chain);
-      ("star", `Star);
-      ("cycle", `Cycle);
-      ("grid", `Grid);
-      ("clique", `Clique);
-    ]
-
-let build_instance n seed shape =
-  match shape with
-  | `Random -> Qo.Gen_inst.R.random ~seed ~n ~p:0.5 ()
-  | `Tree -> Qo.Gen_inst.R.tree ~seed ~n ()
-  | `Chain -> Qo.Gen_inst.R.chain ~seed ~n ()
-  | `Star -> Qo.Gen_inst.R.star ~seed ~satellites:(n - 1) ()
-  | `Cycle -> Qo.Gen_inst.R.cycle ~seed ~n ()
-  | `Grid ->
-      let rows, cols = Qo.Gen_inst.grid_dims n in
-      Qo.Gen_inst.R.grid ~seed ~rows ~cols ()
-  | `Clique -> Qo.Gen_inst.R.clique ~seed ~n ()
-
 (* ---------------- explain ---------------- *)
 
 let explain_cmd =
   let n = Arg.(value & opt int 8 & info [ "n" ] ~doc:"Number of relations.") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
-  let shape = Arg.(value & opt shape_conv `Random & info [ "shape" ] ~doc:"Query graph shape.") in
   let file =
     Arg.(value & opt (some file) None & info [ "file"; "f" ] ~doc:"Load a QO_N instance file instead of generating.")
   in
@@ -671,7 +644,9 @@ let explain_cmd =
           with Invalid_argument msg | Sys_error msg ->
             Printf.eprintf "qopt: %s\n" msg;
             exit 2)
-      | None -> build_instance n seed shape
+      | None ->
+          check_shape_n shape n;
+          Qo.Gen_inst.R.of_shape ~seed ~n shape
     in
     (* explain is rational-domain (exact arithmetic in the rendered
        tables), so every registry entry is available here — including
@@ -690,23 +665,14 @@ let explain_cmd =
   in
   Cmd.v
     (Cmd.info "explain" ~doc:"Generate (or load) a query, optimize it, and explain the plans")
-    Term.(const run $ n $ seed $ shape $ file $ algo_term $ jobs_term $ stats_term $ trace_term)
+    Term.(const run $ n $ seed $ shape_term $ file $ algo_term $ jobs_term $ stats_term
+          $ trace_term)
 
 (* ---------------- gen ---------------- *)
-
-let shape_name = function
-  | `Random -> "random"
-  | `Tree -> "tree"
-  | `Chain -> "chain"
-  | `Star -> "star"
-  | `Cycle -> "cycle"
-  | `Grid -> "grid"
-  | `Clique -> "clique"
 
 let gen_cmd =
   let n = Arg.(value & opt int 8 & info [ "n" ] ~doc:"Number of relations.") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Generator seed.") in
-  let shape = Arg.(value & opt shape_conv `Random & info [ "shape" ] ~doc:"Graph shape.") in
   let out = Arg.(value & opt (some string) None & info [ "out"; "o" ] ~doc:"Output file (stdout otherwise).") in
   let trace_mode =
     Arg.(
@@ -807,11 +773,14 @@ let gen_cmd =
           0
     end
     else begin
-      let inst = build_instance n seed shape in
+      check_shape_n shape n;
+      let inst = Qo.Gen_inst.R.of_shape ~seed ~n shape in
       (* provenance comment: the parser ignores # lines, so generated
          files replay/load unchanged while recording how to re-make
          them *)
-      let header = Printf.sprintf "# seed=%d shape=%s n=%d\n" seed (shape_name shape) n in
+      let header =
+        Printf.sprintf "# seed=%d shape=%s n=%d\n" seed (Qo.Gen_inst.shape_name shape) n
+      in
       let text = header ^ Qo.Io.dump_rat inst in
       (match out with
       | None -> print_string text
@@ -824,7 +793,7 @@ let gen_cmd =
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a QO_N instance file or (with --trace) a serve workload trace")
-    Term.(const run $ n $ seed $ shape $ out $ trace_mode $ requests $ skew $ pool_size
+    Term.(const run $ n $ seed $ shape_term $ out $ trace_mode $ requests $ skew $ pool_size
           $ templates $ drift $ burst $ hostile $ jobs_term)
 
 (* ---------------- replay ---------------- *)
@@ -835,25 +804,6 @@ let replay_cmd =
       required
       & pos 0 (some file) None
       & info [] ~docv:"TRACE" ~doc:"Trace file produced by $(b,qopt gen --trace).")
-  in
-  let cache_size =
-    Arg.(
-      value
-      & opt int Serve.default_config.Serve.cache_capacity
-      & info [ "cache-size" ] ~docv:"N"
-          ~doc:"Plan-cache capacity in entries before LRU eviction; 0 disables caching.")
-  in
-  let queue_size =
-    Arg.(
-      value
-      & opt int Serve.default_config.Serve.queue_capacity
-      & info [ "queue-size" ] ~docv:"N" ~doc:"Bounded request-queue depth (in batches).")
-  in
-  let batch_size =
-    Arg.(
-      value
-      & opt int Serve.default_config.Serve.batch_size
-      & info [ "batch-size" ] ~docv:"N" ~doc:"Requests handed to a worker at a time.")
   in
   let probe_every =
     Arg.(
@@ -889,38 +839,25 @@ let replay_cmd =
       & info [ "quiet"; "q" ]
           ~doc:"Suppress the response transcript on stdout (summary and report remain).")
   in
-  let run file cache_size queue_size batch_size probe_every report check_id quiet jobs
-      stats trace =
+  let run file config probe_every report check_id quiet jobs stats trace =
     let jobs = resolve_jobs jobs in
     setup_obs stats trace;
-    let config =
-      {
-        Serve.default_config with
-        Serve.cache_capacity = cache_size;
-        queue_capacity = max 1 queue_size;
-        batch_size = max 1 batch_size;
-      }
-    in
     let trace_text = In_channel.with_open_bin file In_channel.input_all in
-    let replay_at jobs =
+    let out, st, seconds =
       if jobs > 1 then
         Pool.with_pool ~jobs (fun pool -> Trace.replay ~pool ~config ~probe_every trace_text)
       else Trace.replay ~config ~probe_every trace_text
     in
-    let out, st, seconds = replay_at jobs in
     let identity =
       if not check_id then None
       else begin
         let other = if jobs > 1 then 1 else 2 in
-        let out2, st2, _ = replay_at other in
-        let b1, _ = Serve.split_control out and b2, _ = Serve.split_control out2 in
-        let same = b1 = b2 && Trace.stats_key st = Trace.stats_key st2 in
-        if not same then
-          Printf.eprintf
-            "qopt replay: DIVERGENCE between jobs=%d and jobs=%d (%d vs %d non-control \
-             bytes)\n"
-            jobs other (String.length b1) (String.length b2)
-        else Printf.eprintf "qopt replay: jobs=%d and jobs=%d byte-identical\n" jobs other;
+        let same, diagnosis =
+          Trace.check_identity ~config ~probe_every ~replayed:(jobs, out, st)
+            ~jobs:(max jobs other) trace_text
+        in
+        if same then Printf.eprintf "qopt replay: jobs=%d and jobs=%d byte-identical\n" jobs other
+        else Printf.eprintf "qopt replay: DIVERGENCE: %s\n" diagnosis;
         Some same
       end
     in
@@ -942,8 +879,8 @@ let replay_cmd =
           (hit rate, coalescing, throughput, per-stage latency percentiles, \
           hostile-tail error accounting). Non-control responses are byte-identical at \
           every --jobs (--check-identity verifies).")
-    Term.(const run $ file $ cache_size $ queue_size $ batch_size $ probe_every
-          $ report_term $ check_identity $ quiet $ jobs_term $ stats_term $ trace_term)
+    Term.(const run $ file $ serve_config_term $ probe_every $ report_term $ check_identity
+          $ quiet $ jobs_term $ stats_term $ trace_term)
 
 (* ---------------- chain ---------------- *)
 

@@ -776,44 +776,16 @@ let shrink o case =
 (* ------------------------------------------------------------------ *)
 (* Generators *)
 
-let shapes =
-  [| "random"; "tree"; "chain"; "star"; "cycle"; "grid"; "clique"; "treeplus" |]
-
-let build_rat shape seed n : Qo.Instances.Nl_rat.t =
-  let module G = Qo.Gen_inst.R in
-  match shape with
-  | "tree" -> G.tree ~seed ~n ()
-  | "chain" -> G.chain ~seed ~n ()
-  | "star" -> G.star ~seed ~satellites:(n - 1) ()
-  | "cycle" -> G.cycle ~seed ~n ()
-  | "grid" ->
-      let rows, cols = Qo.Gen_inst.grid_dims n in
-      G.grid ~seed ~rows ~cols ()
-  | "clique" -> G.clique ~seed ~n ()
-  | "treeplus" -> G.tree_plus ~seed ~n ~extra:2 ()
-  | _ -> G.random ~seed ~n ~p:0.5 ()
-
-let build_log shape seed n : Qo.Instances.Nl_log.t =
-  let module G = Qo.Gen_inst.L in
-  match shape with
-  | "tree" -> G.tree ~seed ~n ()
-  | "chain" -> G.chain ~seed ~n ()
-  | "star" -> G.star ~seed ~satellites:(n - 1) ()
-  | "cycle" -> G.cycle ~seed ~n ()
-  | "grid" ->
-      let rows, cols = Qo.Gen_inst.grid_dims n in
-      G.grid ~seed ~rows ~cols ()
-  | "clique" -> G.clique ~seed ~n ()
-  | "treeplus" -> G.tree_plus ~seed ~n ~extra:2 ()
-  | _ -> G.random ~seed ~n ~p:0.5 ()
-
 let gen_shape st gseed =
-  let shape = shapes.(Random.State.int st (Array.length shapes)) in
-  let n = 2 + Random.State.int st 9 in
-  let n = if shape = "cycle" then Stdlib.max n 3 else n in
+  let shapes = Qo.Gen_inst.shapes in
+  let name, shape = List.nth shapes (Random.State.int st (List.length shapes)) in
+  let n = Stdlib.max (2 + Random.State.int st 9) (Qo.Gen_inst.min_n shape) in
   let rat = Random.State.bool st in
-  let case = if rat then Rat (build_rat shape gseed n) else Log (build_log shape gseed n) in
-  ( Printf.sprintf "gen:%s:%s:n=%d:seed=%d" (if rat then "rat" else "log") shape n gseed,
+  let case =
+    if rat then Rat (Qo.Gen_inst.R.of_shape ~seed:gseed ~n shape)
+    else Log (Qo.Gen_inst.L.of_shape ~seed:gseed ~n shape)
+  in
+  ( Printf.sprintf "gen:%s:%s:n=%d:seed=%d" (if rat then "rat" else "log") name n gseed,
     case )
 
 let gen_adversarial st gseed =

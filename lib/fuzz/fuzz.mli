@@ -25,9 +25,10 @@
     and the shrinker's candidate moves — is written once, in a functor
     over {!Solver.DOMAIN} plus the mutation helpers, and applied to
     {!Solver.Rat} and {!Solver.Log}; an oracle hands each {!case} to
-    the half for its domain. Only [rat-vs-log] and the generators
-    ([build_rat] / [build_log], whose per-domain seeds fix the case
-    stream) look at both domains.
+    the half for its domain. Only [rat-vs-log] and the shape generator
+    (which draws a domain, then builds the shape with that domain's
+    [Qo.Gen_inst.R.of_shape] or [Qo.Gen_inst.L.of_shape]) look at both
+    domains.
 
     Campaigns are deterministic per [(seed, runs)] — results are
     independent of [--jobs] because instance [k] is generated from

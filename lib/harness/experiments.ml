@@ -1011,23 +1011,23 @@ type run = {
   counters : (string * int) list;
 }
 
-let registry : (string * (bool -> check list)) array =
+let registry : (string * (quiet:bool -> jobs:int -> check list)) array =
   [|
-    ("E1", fun q -> e1_qon_gap ~quiet:q ());
-    ("E2", fun q -> e2_profile ~quiet:q ());
-    ("E3", fun q -> e3_qoh_gap ~quiet:q ());
-    ("E4", fun q -> e4_memory ~quiet:q ());
-    ("E5", fun q -> e5_sparse_qon ~quiet:q ());
-    ("E6", fun q -> e6_sparse_qoh ~quiet:q ());
-    ("E7", fun q -> e7_chain ~quiet:q ());
-    ("E8", fun q -> e8_appendix ~quiet:q ());
-    ("E9", fun q -> e9_competitive ~quiet:q ());
-    ("E10", fun q -> e10_crossval ~quiet:q ());
-    ("E11", fun q -> e11_alpha_sweep ~quiet:q ());
-    ("E12", fun q -> e12_memory_sweep ~quiet:q ());
-    ("E13", fun q -> e13_nu_sweep ~quiet:q ());
-    ("E14", fun q -> e14_tree_frontier ~quiet:q ());
-    ("E15", fun q -> e15_printed_vs_reconstructed ~quiet:q ());
+    ("E1", fun ~quiet ~jobs -> e1_qon_gap ~quiet ~jobs ());
+    ("E2", fun ~quiet ~jobs:_ -> e2_profile ~quiet ());
+    ("E3", fun ~quiet ~jobs:_ -> e3_qoh_gap ~quiet ());
+    ("E4", fun ~quiet ~jobs:_ -> e4_memory ~quiet ());
+    ("E5", fun ~quiet ~jobs -> e5_sparse_qon ~quiet ~jobs ());
+    ("E6", fun ~quiet ~jobs:_ -> e6_sparse_qoh ~quiet ());
+    ("E7", fun ~quiet ~jobs:_ -> e7_chain ~quiet ());
+    ("E8", fun ~quiet ~jobs:_ -> e8_appendix ~quiet ());
+    ("E9", fun ~quiet ~jobs -> e9_competitive ~quiet ~jobs ());
+    ("E10", fun ~quiet ~jobs:_ -> e10_crossval ~quiet ());
+    ("E11", fun ~quiet ~jobs -> e11_alpha_sweep ~quiet ~jobs ());
+    ("E12", fun ~quiet ~jobs:_ -> e12_memory_sweep ~quiet ());
+    ("E13", fun ~quiet ~jobs:_ -> e13_nu_sweep ~quiet ());
+    ("E14", fun ~quiet ~jobs -> e14_tree_frontier ~quiet ~jobs ());
+    ("E15", fun ~quiet ~jobs:_ -> e15_printed_vs_reconstructed ~quiet ());
   |]
 
 (* Every experiment is independent (own tables, own Random.State seeds),
@@ -1040,14 +1040,14 @@ let run_all ?(quiet = false) ?(jobs = 1) () =
     let saved = !slot in
     let buf = Buffer.create 256 in
     slot := Some buf;
-    (* registry experiments run wholly on the calling domain (none take
-       ~jobs here), so the domain-local snapshot attributes counters to
+    (* registry experiments run wholly on the calling domain (each gets
+       ~jobs:1 here), so the domain-local snapshot attributes counters to
        this experiment exactly, even when experiments run concurrently *)
     let before = Obs.snapshot_local () in
     let checks, seconds =
       Fun.protect
         ~finally:(fun () -> (Domain.DLS.get sink_key) := saved)
-        (fun () -> Obs.span ("experiment." ^ name) (fun () -> Obs.time (fun () -> f quiet)))
+        (fun () -> Obs.span ("experiment." ^ name) (fun () -> Obs.time (fun () -> f ~quiet ~jobs:1)))
     in
     let counters = Obs.diff before (Obs.snapshot_local ()) in
     { name; checks; output = Buffer.contents buf; seconds; counters }

@@ -302,7 +302,7 @@ let locked f =
   Fun.protect ~finally:(fun () -> Mutex.unlock reg_mutex) f
 
 (* Counters, gauges and histograms share one namespace: snapshots and
-   the Prometheus exposition key entries by name alone, so a name
+   reports key entries by name alone, so a name
    registered under two kinds would produce ambiguous rows. [kinds]
    records the kind that first claimed each name; a cross-kind
    re-registration is a hard [Invalid_argument]. Same-kind
@@ -571,30 +571,6 @@ module Histogram = struct
         ("p999", Json.Int (quantile s 99.9));
         ("buckets", Json.Arr !buckets);
       ]
-
-  let sanitize name =
-    String.map
-      (fun ch -> match ch with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> ch | _ -> '_')
-      name
-
-  let prometheus ~name s =
-    let n = sanitize name in
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" n);
-    let cum = ref 0 in
-    if s.count > 0 then
-      for i = 0 to bucket_count - 1 do
-        if s.buckets.(i) <> 0 then begin
-          cum := !cum + s.buckets.(i);
-          let _, hi = bucket_bounds i in
-          if hi <> max_int then
-            Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" n hi !cum)
-        end
-      done;
-    Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n s.count);
-    Buffer.add_string buf (Printf.sprintf "%s_sum %d\n" n s.sum);
-    Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n s.count);
-    Buffer.contents buf
 end
 
 let hists : (string, Histogram.t) Hashtbl.t = Hashtbl.create 16
@@ -891,25 +867,3 @@ let write_trace path =
   Json.write_file path
     (Json.Obj
        [ ("traceEvents", Json.Arr (List.rev !events)); ("displayTimeUnit", Json.Str "ms") ])
-
-let prometheus () =
-  let buf = Buffer.create 1024 in
-  let cs =
-    locked (fun () ->
-        Hashtbl.fold
-          (fun name c acc ->
-            (name, List.fold_left (fun s cell -> s + cell.v) 0 !(c.cells)) :: acc)
-          counters [])
-  in
-  let gs = locked (fun () -> Hashtbl.fold (fun name g acc -> (name, Atomic.get g.value) :: acc) gauges []) in
-  let emit kind (name, v) =
-    let n = Histogram.sanitize name in
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n%s %d\n" n kind n v)
-  in
-  List.iter (emit "counter") (List.sort by_name cs);
-  List.iter (emit "gauge") (List.sort by_name gs);
-  List.iter
-    (fun (name, s) ->
-      if s.Histogram.count > 0 then Buffer.add_string buf (Histogram.prometheus ~name s))
-    (histograms ());
-  Buffer.contents buf

@@ -165,16 +165,11 @@ module Histogram : sig
   val to_json : snap -> Json.t
   (** [{count; sum; min; max; p50; p95; p99; p999; buckets}] with only
       non-zero buckets listed as [{lo; hi; count}]. *)
-
-  val prometheus : name:string -> snap -> string
-  (** Prometheus text exposition: cumulative [_bucket{le="..."}] lines
-      for non-empty buckets plus [le="+Inf"], then [_sum] and [_count].
-      Non-[[a-zA-Z0-9_]] name characters become [_]. *)
 end
 
 val histogram : string -> Histogram.t
 (** Register (or look up) the histogram named [name]; included in
-    {!histograms}, {!stats_json}/{!run_report} and {!prometheus}.
+    {!histograms} and {!stats_json}/{!run_report}.
     Raises [Invalid_argument] if [name] is already a counter or
     gauge. *)
 
@@ -247,13 +242,6 @@ val run_report : kind:string -> ?extra:(string * Json.t) list -> unit -> Json.t
     rows) in [extra]; the current counter snapshot, non-empty
     registered histograms and span forest are appended so every report
     is self-describing. *)
-
-val prometheus : unit -> string
-(** Prometheus-style text exposition of every registered metric:
-    [# TYPE] lines plus samples for all counters and gauges
-    (name-sorted, ['.'] and other non-identifier characters mapped to
-    ['_']), then {!Histogram.prometheus} blocks for each non-empty
-    registered histogram. *)
 
 val write_trace : string -> unit
 (** Write the span forest as Chrome [trace_event] JSON ([B]/[E] event

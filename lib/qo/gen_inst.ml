@@ -28,11 +28,12 @@ type 'c draws = {
 module Core (C : Cost.S) = struct
   module I = Nl.Make (C)
 
-  (* Fill sizes/sel/w over a fixed graph from an already-salted state.
-     Draw order: sizes 0..n-1, one sel per edge (Ugraph.edges order),
-     then w row-major over adjacent ordered pairs. *)
-  let fill ~st ~graph d =
+  (* Fill sizes/sel/w over a fixed graph from the state salted by
+     [(seed, n, salt)]. Draw order: sizes 0..n-1, one sel per edge
+     (Ugraph.edges order), then w row-major over adjacent ordered pairs. *)
+  let over_graph ~seed ~salt ~graph d =
     let n = Graphlib.Ugraph.vertex_count graph in
+    let st = Random.State.make [| seed; n; salt |] in
     let sizes = Array.init n (fun _ -> d.draw_size st) in
     let sel = Array.make_matrix n n C.one in
     List.iter
@@ -49,32 +50,11 @@ module Core (C : Cost.S) = struct
               else sizes.(i)))
     in
     I.make ~graph ~sel ~sizes ~w
-
-  let over_graph ~seed ~salt ~graph d =
-    let n = Graphlib.Ugraph.vertex_count graph in
-    fill ~st:(Random.State.make [| seed; n; salt |]) ~graph d
-
-  (* A tree plus [extra] random chords — the family Section 6.3
-     identifies as the frontier of tractability. *)
-  let tree_plus ~seed ~chord_salt ~over_salt ~n ~extra d =
-    let g = Graphlib.Gen.random_tree ~seed ~n in
-    let st = Random.State.make [| seed; n; extra; chord_salt |] in
-    let budget = ref extra in
-    let attempts = ref (20 * (extra + 1)) in
-    while !budget > 0 && !attempts > 0 do
-      decr attempts;
-      let i = Random.State.int st n and j = Random.State.int st n in
-      if i <> j && not (Graphlib.Ugraph.has_edge g i j) then begin
-        Graphlib.Ugraph.add_edge g i j;
-        decr budget
-      end
-    done;
-    over_graph ~seed ~salt:over_salt ~graph:g d
 end
 
 (* [grid_dims n]: the most-square rows*cols factorization of [n]
-   (rows <= cols); prime n degrades to a 1 x n chain. Shared by the
-   CLI's --shape grid, which only knows a vertex count. *)
+   (rows <= cols); prime n degrades to a 1 x n chain. The grid shape
+   of [of_shape], which only knows a vertex count. *)
 let grid_dims n =
   if n < 1 then invalid_arg "Gen_inst.grid_dims: need n >= 1";
   let rows = ref 1 in
@@ -84,6 +64,96 @@ let grid_dims n =
     incr r
   done;
   (!rows, n / !rows)
+
+(* A random tree plus [extra] random chords drawn from [salt] — the
+   family Section 6.3 identifies as the frontier of tractability. *)
+let tree_plus_graph ~seed ~n ~extra ~salt =
+  let g = Graphlib.Gen.random_tree ~seed ~n in
+  let st = Random.State.make [| seed; n; extra; salt |] in
+  let budget = ref extra in
+  let attempts = ref (20 * (extra + 1)) in
+  while !budget > 0 && !attempts > 0 do
+    decr attempts;
+    let i = Random.State.int st n and j = Random.State.int st n in
+    if i <> j && not (Graphlib.Ugraph.has_edge g i j) then begin
+      Graphlib.Ugraph.add_edge g i j;
+      decr budget
+    end
+  done;
+  g
+
+(* -------------------- shapes by name -------------------- *)
+
+(** The query-graph shapes the fuzzer, the trace generator and the
+    CLI's [--shape] build by name. *)
+type shape = Random | Tree | Chain | Star | Cycle | Grid | Clique | Tree_plus
+
+(** Every shape under its name, in the fuzzer's draw order (the index
+    drawn from the fuzz case stream picks from this list). *)
+let shapes =
+  [
+    ("random", Random);
+    ("tree", Tree);
+    ("chain", Chain);
+    ("star", Star);
+    ("cycle", Cycle);
+    ("grid", Grid);
+    ("clique", Clique);
+    ("treeplus", Tree_plus);
+  ]
+
+let shape_name shape = fst (List.find (fun (_, s) -> s = shape) shapes)
+
+(** The fewest relations a shape is defined on: a cycle needs 3. *)
+let min_n = function Cycle -> 3 | _ -> 1
+
+(* The named-shape generators, written once over a domain's G(n,p)
+   [random], its [over_graph] and its chord salt. *)
+module Shapes (D : sig
+  type t
+
+  val random : seed:int -> n:int -> p:float -> t
+  val over_graph : seed:int -> graph:Graphlib.Ugraph.t -> t
+  val chord_salt : int
+end) =
+struct
+  (** Random tree query (for the Ibaraki–Kameda boundary). *)
+  let tree ~seed ~n () = D.over_graph ~seed ~graph:(Graphlib.Gen.random_tree ~seed ~n)
+
+  (** Chain (path) query. *)
+  let chain ~seed ~n () = D.over_graph ~seed ~graph:(Graphlib.Gen.path n)
+
+  (** Star query. *)
+  let star ~seed ~satellites () = D.over_graph ~seed ~graph:(Graphlib.Gen.star satellites)
+
+  (** Cycle query (n >= 3). *)
+  let cycle ~seed ~n () = D.over_graph ~seed ~graph:(Graphlib.Gen.cycle n)
+
+  (** [rows * cols] mesh query — the bounded-degree family. *)
+  let grid ~seed ~rows ~cols () = D.over_graph ~seed ~graph:(Graphlib.Gen.grid ~rows ~cols)
+
+  (** Complete query graph — every pair joined by a predicate. *)
+  let clique ~seed ~n () = D.over_graph ~seed ~graph:(Graphlib.Ugraph.complete n)
+
+  (** A tree query plus [extra] random chords. *)
+  let tree_plus ~seed ~n ~extra () =
+    D.over_graph ~seed ~graph:(tree_plus_graph ~seed ~n ~extra ~salt:D.chord_salt)
+
+  (** The instance a named shape stands for at [n] relations (n >=
+      {!min_n}): random is G(n, 0.5), star has [n - 1] satellites, grid
+      is [grid_dims n], treeplus has 2 chords. *)
+  let of_shape ~seed ~n = function
+    | Random -> D.random ~seed ~n ~p:0.5
+    | Tree -> tree ~seed ~n ()
+    | Chain -> chain ~seed ~n ()
+    | Star -> star ~seed ~satellites:(n - 1) ()
+    | Cycle -> cycle ~seed ~n ()
+    | Grid ->
+        let rows, cols = grid_dims n in
+        grid ~seed ~rows ~cols ()
+    | Clique -> clique ~seed ~n ()
+    | Tree_plus -> tree_plus ~seed ~n ~extra:2 ()
+end
 
 (* -------------------- rational domain -------------------- *)
 
@@ -95,7 +165,7 @@ module R = struct
   (* sizes in [1, max_size], selectivities 1/k with k <= max_inv_sel,
      access costs uniform-ish in the legal range (one uniform draw,
      clamped into [t*s, t]). *)
-  let draws ~max_size ~max_inv_sel =
+  let draws ?(max_size = 1000) ?(max_inv_sel = 50) () =
     {
       draw_size = (fun st -> C.of_int (1 + Random.State.int st max_size));
       draw_sel = (fun st -> C.of_ints 1 (1 + Random.State.int st max_inv_sel));
@@ -108,41 +178,21 @@ module R = struct
   (** [random ~seed ~n ~p ?max_size ?max_inv_sel ()]: G(n,p) query
       graph, sizes in [1, max_size], selectivities [1/k] with
       [k <= max_inv_sel]. *)
-  let random ~seed ~n ~p ?(max_size = 1000) ?(max_inv_sel = 50) () =
+  let random ~seed ~n ~p ?max_size ?max_inv_sel () =
     G.over_graph ~seed ~salt:101 ~graph:(Graphlib.Gen.gnp ~seed ~n ~p)
-      (draws ~max_size ~max_inv_sel)
+      (draws ?max_size ?max_inv_sel ())
 
   (** Random instance over a given query graph. *)
-  let over_graph ~seed ~graph ?(max_size = 1000) ?(max_inv_sel = 50) () =
-    G.over_graph ~seed ~salt:103 ~graph (draws ~max_size ~max_inv_sel)
+  let over_graph ~seed ~graph ?max_size ?max_inv_sel () =
+    G.over_graph ~seed ~salt:103 ~graph (draws ?max_size ?max_inv_sel ())
 
-  (** Random tree query (for the Ibaraki–Kameda boundary). *)
-  let tree ~seed ~n ?(max_size = 1000) ?(max_inv_sel = 50) () =
-    over_graph ~seed ~graph:(Graphlib.Gen.random_tree ~seed ~n) ~max_size ~max_inv_sel ()
+  include Shapes (struct
+    type t = I.t
 
-  (** Chain (path) query. *)
-  let chain ~seed ~n ?(max_size = 1000) ?(max_inv_sel = 50) () =
-    over_graph ~seed ~graph:(Graphlib.Gen.path n) ~max_size ~max_inv_sel ()
-
-  (** Star query. *)
-  let star ~seed ~satellites ?(max_size = 1000) ?(max_inv_sel = 50) () =
-    over_graph ~seed ~graph:(Graphlib.Gen.star satellites) ~max_size ~max_inv_sel ()
-
-  (** Cycle query (n >= 3). *)
-  let cycle ~seed ~n ?(max_size = 1000) ?(max_inv_sel = 50) () =
-    over_graph ~seed ~graph:(Graphlib.Gen.cycle n) ~max_size ~max_inv_sel ()
-
-  (** [rows * cols] mesh query — the bounded-degree family. *)
-  let grid ~seed ~rows ~cols ?(max_size = 1000) ?(max_inv_sel = 50) () =
-    over_graph ~seed ~graph:(Graphlib.Gen.grid ~rows ~cols) ~max_size ~max_inv_sel ()
-
-  (** Complete query graph — every pair joined by a predicate. *)
-  let clique ~seed ~n ?(max_size = 1000) ?(max_inv_sel = 50) () =
-    over_graph ~seed ~graph:(Graphlib.Ugraph.complete n) ~max_size ~max_inv_sel ()
-
-  (** A tree query plus [extra] random chords. *)
-  let tree_plus ~seed ~n ~extra ?(max_size = 1000) ?(max_inv_sel = 50) () =
-    G.tree_plus ~seed ~chord_salt:107 ~over_salt:103 ~n ~extra (draws ~max_size ~max_inv_sel)
+    let random ~seed ~n ~p = random ~seed ~n ~p ()
+    let over_graph ~seed ~graph = over_graph ~seed ~graph ()
+    let chord_salt = 107
+  end)
 end
 
 (* -------------------- log domain -------------------- *)
@@ -155,7 +205,7 @@ module L = struct
   (* sizes up to 2^max_log2_size, selectivities down to
      2^-max_log2_inv_sel, access costs uniform in log space between the
      bounds. *)
-  let draws ~max_log2_size ~max_log2_inv_sel =
+  let draws ?(max_log2_size = 24.0) ?(max_log2_inv_sel = 8.0) () =
     {
       draw_size = (fun st -> C.of_log2 (1.0 +. Random.State.float st max_log2_size));
       draw_sel = (fun st -> C.of_log2 (-.Random.State.float st max_log2_inv_sel));
@@ -167,32 +217,17 @@ module L = struct
 
   (** Log-domain mirror of {!R.over_graph}, with sizes up to
       [2^max_log2_size]. *)
-  let over_graph ~seed ~graph ?(max_log2_size = 24.0) ?(max_log2_inv_sel = 8.0) () =
-    G.over_graph ~seed ~salt:109 ~graph (draws ~max_log2_size ~max_log2_inv_sel)
+  let over_graph ~seed ~graph ?max_log2_size ?max_log2_inv_sel () =
+    G.over_graph ~seed ~salt:109 ~graph (draws ?max_log2_size ?max_log2_inv_sel ())
 
-  let random ~seed ~n ~p ?(max_log2_size = 24.0) ?(max_log2_inv_sel = 8.0) () =
-    over_graph ~seed ~graph:(Graphlib.Gen.gnp ~seed ~n ~p) ~max_log2_size ~max_log2_inv_sel ()
+  let random ~seed ~n ~p ?max_log2_size ?max_log2_inv_sel () =
+    over_graph ~seed ~graph:(Graphlib.Gen.gnp ~seed ~n ~p) ?max_log2_size ?max_log2_inv_sel ()
 
-  let tree ~seed ~n ?(max_log2_size = 24.0) ?(max_log2_inv_sel = 8.0) () =
-    over_graph ~seed ~graph:(Graphlib.Gen.random_tree ~seed ~n) ~max_log2_size
-      ~max_log2_inv_sel ()
+  include Shapes (struct
+    type t = I.t
 
-  let chain ~seed ~n ?(max_log2_size = 24.0) ?(max_log2_inv_sel = 8.0) () =
-    over_graph ~seed ~graph:(Graphlib.Gen.path n) ~max_log2_size ~max_log2_inv_sel ()
-
-  let star ~seed ~satellites ?(max_log2_size = 24.0) ?(max_log2_inv_sel = 8.0) () =
-    over_graph ~seed ~graph:(Graphlib.Gen.star satellites) ~max_log2_size ~max_log2_inv_sel ()
-
-  let cycle ~seed ~n ?(max_log2_size = 24.0) ?(max_log2_inv_sel = 8.0) () =
-    over_graph ~seed ~graph:(Graphlib.Gen.cycle n) ~max_log2_size ~max_log2_inv_sel ()
-
-  let grid ~seed ~rows ~cols ?(max_log2_size = 24.0) ?(max_log2_inv_sel = 8.0) () =
-    over_graph ~seed ~graph:(Graphlib.Gen.grid ~rows ~cols) ~max_log2_size ~max_log2_inv_sel ()
-
-  let clique ~seed ~n ?(max_log2_size = 24.0) ?(max_log2_inv_sel = 8.0) () =
-    over_graph ~seed ~graph:(Graphlib.Ugraph.complete n) ~max_log2_size ~max_log2_inv_sel ()
-
-  let tree_plus ~seed ~n ~extra ?(max_log2_size = 24.0) ?(max_log2_inv_sel = 8.0) () =
-    G.tree_plus ~seed ~chord_salt:113 ~over_salt:109 ~n ~extra
-      (draws ~max_log2_size ~max_log2_inv_sel)
+    let random ~seed ~n ~p = random ~seed ~n ~p ()
+    let over_graph ~seed ~graph = over_graph ~seed ~graph ()
+    let chord_salt = 113
+  end)
 end

@@ -187,8 +187,8 @@ let g_queue = Obs.gauge "serve.queue.depth"
 
 (* The registered (process-global) latency histogram: every session's
    end-to-end request latency, in integer nanoseconds, visible in
-   `--stats`, run reports and [Obs.prometheus]. Per-session series live
-   in [stats.latency]/[stats.stages]. *)
+   `--stats` and run reports. Per-session series live in
+   [stats.latency]/[stats.stages]. *)
 let h_latency = Obs.histogram "serve.latency_ns"
 
 (* ---------------- plan rendering ---------------- *)

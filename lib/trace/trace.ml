@@ -116,28 +116,13 @@ let parse_provenance text =
 
 (* ---------------- base-instance pools ---------------- *)
 
-(* Shapes cycle through the generator families; n cycles 6..9 — small
+(* Shapes cycle through five generator families; n cycles 6..9 — small
    enough that every registry entrant (including milp, cap 9) admits
    every benign instance. *)
-let rat_payload ~seed ~shape ~n =
-  let module G = Qo.Gen_inst.R in
-  Qo.Io.dump_rat
-    (match shape with
-    | 0 -> G.tree ~seed ~n ()
-    | 1 -> G.chain ~seed ~n ()
-    | 2 -> G.star ~seed ~satellites:(n - 1) ()
-    | 3 -> G.cycle ~seed ~n ()
-    | _ -> G.random ~seed ~n ~p:0.5 ())
-
-let log_payload ~seed ~shape ~n =
-  let module G = Qo.Gen_inst.L in
-  Qo.Io.dump_log
-    (match shape with
-    | 0 -> G.tree ~seed ~n ()
-    | 1 -> G.chain ~seed ~n ()
-    | 2 -> G.star ~seed ~satellites:(n - 1) ()
-    | 3 -> G.cycle ~seed ~n ()
-    | _ -> G.random ~seed ~n ~p:0.5 ())
+let pool_shapes = Qo.Gen_inst.[| Tree; Chain; Star; Cycle; Random |]
+let pool_shape i = pool_shapes.(i mod Array.length pool_shapes)
+let rat_payload ~seed ~shape ~n = Qo.Io.dump_rat (Qo.Gen_inst.R.of_shape ~seed ~n shape)
+let log_payload ~seed ~shape ~n = Qo.Io.dump_log (Qo.Gen_inst.L.of_shape ~seed ~n shape)
 
 (* ---------------- algo mix ---------------- *)
 
@@ -195,7 +180,7 @@ let build_rat_pool p =
   Array.init p.pool_size (fun i ->
       let n = 6 + (i mod 4) in
       {
-        pl_payload = rat_payload ~seed:((p.seed * 1_000_003) + i) ~shape:(i mod 5) ~n;
+        pl_payload = rat_payload ~seed:((p.seed * 1_000_003) + i) ~shape:(pool_shape i) ~n;
         pl_n = n;
         pl_algo = sticky_algo st fast n;
       })
@@ -207,7 +192,7 @@ let build_log_pool p =
   Array.init size (fun i ->
       let n = 6 + (i mod 4) in
       {
-        pl_payload = log_payload ~seed:((p.seed * 2_000_003) + i) ~shape:(i mod 5) ~n;
+        pl_payload = log_payload ~seed:((p.seed * 2_000_003) + i) ~shape:(pool_shape i) ~n;
         pl_n = n;
         pl_algo = sticky_algo st fast n;
       })
@@ -220,7 +205,7 @@ let build_showcase p =
     (fun i (e : Solver.entry) ->
       let n = max 4 (min 6 (min e.Solver.cap e.Solver.diff_cap)) in
       {
-        pl_payload = rat_payload ~seed:((p.seed * 3_000_017) + i) ~shape:(i mod 5) ~n;
+        pl_payload = rat_payload ~seed:((p.seed * 3_000_017) + i) ~shape:(pool_shape i) ~n;
         pl_n = n;
         pl_algo = e;
       })
@@ -315,7 +300,7 @@ let emit p sink =
     | None ->
         let n = 6 + (family mod 3) in
         let seed = (p.seed * 9_176_867) + (family * 131_071) + tick in
-        let s = rat_payload ~seed ~shape:(family mod 5) ~n in
+        let s = rat_payload ~seed ~shape:(pool_shape family) ~n in
         Hashtbl.replace tmpl_memo (family, tick) s;
         s
   in
@@ -401,7 +386,7 @@ let emit p sink =
           let e = Option.get (Lazy.force rat_only_entry) in
           sink
             (render_request ~id:(fresh_id ()) ~algo:e.Solver.name ~domain:"log"
-               (log_payload ~seed:(p.seed + 41) ~shape:0 ~n:6))
+               (log_payload ~seed:(p.seed + 41) ~shape:Qo.Gen_inst.Tree ~n:6))
       | 4 ->
           sink
             (render_request ~id:(fresh_id ()) ~algo:"dp" ~domain:"log" ~budget_ms:0.
@@ -504,12 +489,19 @@ let first_divergence a b =
   in
   go 0 la lb
 
-let check_identity ?config ?probe_every ~jobs trace =
-  let out1, st1, _ = replay ?config ?probe_every trace in
-  let outn, stn, _ =
-    if jobs <= 1 then replay ?config ?probe_every trace
-    else Pool.with_pool ~jobs (fun pool -> replay ~pool ?config ?probe_every trace)
+let check_identity ?config ?probe_every ?replayed ~jobs trace =
+  let at j =
+    match replayed with
+    | Some (rj, out, st) when rj = j -> (out, st)
+    | _ ->
+        let out, st, _ =
+          if j <= 1 then replay ?config ?probe_every trace
+          else Pool.with_pool ~jobs:j (fun pool -> replay ~pool ?config ?probe_every trace)
+        in
+        (out, st)
   in
+  let out1, st1 = at 1 in
+  let outn, stn = at jobs in
   let body1, _ = Serve.split_control out1 in
   let bodyn, _ = Serve.split_control outn in
   if body1 <> bodyn then

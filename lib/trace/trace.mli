@@ -125,11 +125,19 @@ val stats_key : Serve.stats -> int * int * int * int * int * int * int * int
     excluding the scheduling-dependent coalesce split. *)
 
 val check_identity :
-  ?config:Serve.config -> ?probe_every:int -> jobs:int -> string -> bool * string
+  ?config:Serve.config ->
+  ?probe_every:int ->
+  ?replayed:int * string * Serve.stats ->
+  jobs:int ->
+  string ->
+  bool * string
 (** Replay the trace at [--jobs 1] and at [--jobs n]; [true] when the
     non-control response bytes ({!Serve.split_control}) are identical
     and {!stats_key} agrees. The [string] is a human diagnosis of the
-    first divergence (empty on success). *)
+    first divergence (empty on success). [replayed = (j, responses,
+    stats)] is a replay already made at [--jobs j] with the same
+    [config] and [probe_every]; the side it covers is not replayed
+    again. *)
 
 val report_json :
   jobs:int ->

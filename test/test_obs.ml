@@ -322,33 +322,19 @@ let test_hist_merge_deterministic () =
   Alcotest.(check bool) "merge commutes" true
     (H.merge (H.snap hb) (H.snap ha) = m)
 
-let test_hist_exposition () =
+let test_hist_json () =
   let module H = Obs.Histogram in
   let h = H.create () in
   List.iter (H.record h) [ 5; 100; 100_000 ];
-  let s = H.snap h in
-  (match H.to_json s with
-  | Obs.Json.Obj fields ->
+  match H.to_json (H.snap h) with
+  | Obs.Json.Obj fields -> (
       Alcotest.(check bool) "count field" true
         (List.assoc_opt "count" fields = Some (Obs.Json.Int 3));
-      (match List.assoc_opt "buckets" fields with
+      match List.assoc_opt "buckets" fields with
       | Some (Obs.Json.Arr bs) ->
           Alcotest.(check int) "only non-zero buckets listed" 3 (List.length bs)
       | _ -> Alcotest.fail "buckets array missing")
-  | _ -> Alcotest.fail "to_json is not an object");
-  let text = H.prometheus ~name:"serve.latency ns" s in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "prometheus contains %S" needle) true
-        (let nl = String.length needle and tl = String.length text in
-         let rec scan i = i + nl <= tl && (String.sub text i nl = needle || scan (i + 1)) in
-         scan 0))
-    [
-      "# TYPE serve_latency_ns histogram";
-      "serve_latency_ns_bucket{le=\"+Inf\"} 3";
-      "serve_latency_ns_sum 100105";
-      "serve_latency_ns_count 3";
-    ]
+  | _ -> Alcotest.fail "to_json is not an object"
 
 (* ---------------- cross-kind name collisions ---------------- *)
 
@@ -448,7 +434,7 @@ let () =
             test_hist_vs_exact_property;
           Alcotest.test_case "merge deterministic across domains" `Quick
             test_hist_merge_deterministic;
-          Alcotest.test_case "json + prometheus exposition" `Quick test_hist_exposition;
+          Alcotest.test_case "json exposition" `Quick test_hist_json;
         ] );
       ( "namespace",
         [
